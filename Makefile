@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench-json bench-check serve-smoke
+.PHONY: check fmt vet build test race lint perfbench bench-json bench-check serve-smoke
 
-check: fmt vet lint build test race serve-smoke
+check: fmt vet lint build test race perfbench serve-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -26,11 +26,17 @@ test:
 # -short keeps the race gate in the low minutes: the heaviest
 # sequential solves are skipped (plain `make test` still runs them
 # race-free) while every concurrency path stays covered — the dse
-# worker pool and shared cache, the parallel branch-and-bound search,
-# the region-solve store (concurrent Get/Put, singleflight) and the
-# core region scheduler's 4-worker byte-identity run.
+# worker pool and shared cache, the region-solve store (concurrent
+# Get/Put, singleflight) and the core region scheduler's 4-worker
+# byte-identity run.
 race:
 	$(GO) test -race -short ./internal/obs/... ./internal/dse/... ./internal/ilp/... ./internal/core/... ./internal/solstore/... ./internal/serve/...
+
+# The end-to-end benchmark is a nested module (it replaces repro with
+# this checkout), so the root `go build ./...` never compiles it: vet
+# and test it on its own to catch root API changes that break it.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Perf trajectory: run the figure benches and the ILP, solstore and dse
 # microbench suites, refresh BENCH_ilp.json (schema documented in

@@ -10,9 +10,8 @@
 //     three-benchmark subset, one iteration each — these measure the
 //     end-to-end pipeline including every ILP solve.
 //   - ilp: the solver microbenches in internal/ilp (root relaxation,
-//     warm vs cold MILP, knapsack node throughput, cut separation,
-//     parallel search), run under the normal benchtime so ns/op is
-//     stable.
+//     warm vs cold MILP, knapsack node throughput, cut separation),
+//     run under the normal benchtime so ns/op is stable.
 //   - solstore: the region-solve store microbenches (warm lookup, LRU
 //     eviction pressure, singleflight, concurrent mixed traffic).
 //   - dse: the sweep-point benches (cold vs warm region store, with

@@ -20,7 +20,6 @@
 //	-o file            write the report to file instead of stdout
 //	-workers n         worker-pool size (default NumCPU)
 //	-ilp-nodes n       per-ILP branch-and-bound node budget (default 60; ~20 for big sweeps)
-//	-ilp-workers n     concurrent node relaxations per ILP search round (default 1 = serial)
 //	-max-tasks n       per-region task-bound cap (default 4)
 //	-region-workers n  per-evaluation region-solve workers (default 1 = sequential)
 //	-store-cap n       region-solve store capacity (0 = default sizing)
@@ -63,7 +62,6 @@ func main() {
 		oFlag      = flag.String("o", "", "write the report to this file instead of stdout")
 		workers    = flag.Int("workers", 0, "worker-pool size (0 = NumCPU)")
 		ilpNodes   = flag.Int("ilp-nodes", 0, "per-ILP branch-and-bound node budget (0 = sweep default 60)")
-		ilpWorkers = flag.Int("ilp-workers", 0, "concurrent node relaxations per ILP search round (0/1 = serial; deterministic per width)")
 		maxTasks   = flag.Int("max-tasks", 0, "per-region task-bound cap (0 = sweep default 4; raise for better plans on big platforms, at steep solve cost)")
 		regWorkers = flag.Int("region-workers", 0, "per-evaluation region-solve workers (0/1 = sequential; output is byte-identical per width)")
 		storeCap   = flag.Int("store-cap", 0, "region-solve store capacity shared across all sweep points (0 = default sizing)")
@@ -160,9 +158,6 @@ func main() {
 	}
 	if *maxTasks > 0 {
 		cfg.MaxTasksPerRegion = *maxTasks
-	}
-	if *ilpWorkers > 0 {
-		cfg.ILPWorkers = *ilpWorkers
 	}
 	if *regWorkers > 0 {
 		cfg.RegionWorkers = *regWorkers

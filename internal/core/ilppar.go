@@ -540,8 +540,6 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		MaxNodes:  p.cfg.MaxILPNodes,
 		RelGap:    p.cfg.ILPRelGap,
 		Incumbent: incumbent,
-		Workers:   p.cfg.ILPWorkers,
-		Seed:      p.cfg.ILPSeed,
 	}
 	if p.cfg.ILPTimeout > 0 {
 		opt.Deadline = start.Add(p.cfg.ILPTimeout)

@@ -47,23 +47,13 @@ type Config struct {
 	// platforms set a small cap to trade a little plan optimality for
 	// tractable solve times.
 	MaxTasksPerRegion int
-	// MaxILPNodes caps branch-and-bound nodes per ILP (default 30000).
+	// MaxILPNodes caps branch-and-bound nodes per ILP (default 1500).
 	MaxILPNodes int
-	// ILPTimeout caps wall time per ILP (default 3s).
+	// ILPTimeout caps wall time per ILP (default 400ms).
 	ILPTimeout time.Duration
 	// ILPRelGap accepts incumbents within this relative optimality gap
 	// (default 1%); tightening it trades compile time for solution quality.
 	ILPRelGap float64
-	// ILPWorkers widens the branch-and-bound best-first search: up to this
-	// many node relaxations are solved concurrently per round, folded back
-	// in deterministic frontier order (0 or 1 = serial). The search
-	// trajectory depends on the width — equally-optimal plans may differ
-	// between widths — so the field is part of the cache fingerprint; for
-	// a fixed width results are bit-reproducible.
-	ILPWorkers int
-	// ILPSeed perturbs tie-breaking among equal-bound search nodes.
-	// Deterministic for any fixed value (including the 0 default).
-	ILPSeed int64
 	// DisableChunking turns DOALL iteration splitting off (ablation).
 	DisableChunking bool
 	// EnablePipelining turns on the decoupled-software-pipelining extension
@@ -115,10 +105,9 @@ type Config struct {
 // guaranteed not to change any output.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;pipe:%t;hier:%t;workers:%d;seed:%d",
+	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;pipe:%t;hier:%t",
 		d.MaxItemsPerILP, d.MaxCandsPerClass, d.MaxTasksPerRegion, d.MaxILPNodes,
-		d.ILPTimeout, d.ILPRelGap, !d.DisableChunking, d.EnablePipelining, !d.DisableHierarchy,
-		d.ILPWorkers, d.ILPSeed)
+		d.ILPTimeout, d.ILPRelGap, !d.DisableChunking, d.EnablePipelining, !d.DisableHierarchy)
 }
 
 func (c Config) withDefaults() Config {
@@ -136,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ILPRelGap == 0 {
 		c.ILPRelGap = 0.01
-	}
-	if c.ILPWorkers == 0 {
-		c.ILPWorkers = 1
 	}
 	return c
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -74,16 +73,6 @@ type Options struct {
 	// RelGap terminates the search once the relative optimality gap of the
 	// incumbent drops to or below this value (0 = prove optimality).
 	RelGap float64
-	// Workers sets the width of the best-first search rounds: up to
-	// Workers nodes are taken from the frontier per round and their LP
-	// relaxations solved concurrently on a bounded pool, results folded
-	// back in deterministic frontier order. 0 or 1 = serial. The search
-	// trajectory (and therefore Result) depends on Workers and Seed but
-	// never on scheduling: equal options give byte-identical results.
-	Workers int
-	// Seed perturbs the tie order among equal-bound frontier nodes. Any
-	// fixed seed (including the 0 default) is deterministic.
-	Seed int64
 	// DisableCuts skips root cover/clique cut separation.
 	DisableCuts bool
 	// DisableWarmStart forces every node relaxation to solve from
@@ -138,7 +127,7 @@ type bbNode struct {
 	bound  float64 // LP relaxation value (lower bound for minimization)
 	depth  int
 	seq    int64  // creation order: the final deterministic tie-break
-	prio   uint64 // seeded tie-break among equal bounds
+	prio   uint64 // hashed tie-break among equal bounds
 	basis  []int32
 	stat   []int8
 }
@@ -168,7 +157,7 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// mix64 is splitmix64: the seeded tie-break hash.
+// mix64 is splitmix64: the tie-break hash of a node's sequence number.
 func mix64(v uint64) uint64 {
 	v += 0x9e3779b97f4a7c15
 	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
@@ -214,14 +203,14 @@ func noteIncumbent(opt *Options, res *Result) {
 // iterations; the cap only bites on pathological ones.
 const nodeIterCap = 2000
 
-// searcher carries the per-solve state: the compiled problem, the worker
-// solvers and the node sequence counter.
+// searcher carries the per-solve state: the compiled problem, the node
+// relaxation solver and the node sequence counter.
 type searcher struct {
-	mod     *Model
-	p       *prob
-	opt     Options
-	solvers []*lpSolver
-	seq     int64
+	mod *Model
+	p   *prob
+	opt Options
+	lp  *lpSolver
+	seq int64
 	// prunedBound is the minimum known lower bound among subtrees pruned
 	// by the node iteration cap (not by infeasibility or cutoff). Any
 	// optimality or infeasibility claim must account for it.
@@ -233,7 +222,7 @@ func (sc *searcher) newNode(lo, hi []float64, bound float64, depth int, basis []
 	return &bbNode{
 		lo: lo, hi: hi, bound: bound, depth: depth,
 		seq:   sc.seq,
-		prio:  mix64(uint64(sc.seq) ^ uint64(sc.opt.Seed)),
+		prio:  mix64(uint64(sc.seq)),
 		basis: basis, stat: stat,
 	}
 }
@@ -247,11 +236,11 @@ type nodeLP struct {
 	warmHit bool
 }
 
-// solveNode solves one node's relaxation on solver s, warm-starting from
-// the parent basis when available. cutoff is the incumbent objective at
-// round start: the dual simplex abandons the node as soon as its rising
-// lower bound crosses it.
-func (sc *searcher) solveNode(s *lpSolver, nd *bbNode, cutoff float64) nodeLP {
+// solveNode solves one node's relaxation, warm-starting from the parent
+// basis when available. cutoff is the incumbent objective: the dual
+// simplex abandons the node as soon as its rising lower bound crosses it.
+func (sc *searcher) solveNode(nd *bbNode, cutoff float64) nodeLP {
+	s := sc.lp
 	s.setBounds(nd.lo, nd.hi)
 	s.deadline = sc.opt.Deadline
 	s.iterCap = nodeIterCap
@@ -287,9 +276,6 @@ func solve(mod *Model, opt Options) Result {
 	}
 	if opt.IntTol == 0 {
 		opt.IntTol = 1e-6
-	}
-	if opt.Workers < 1 {
-		opt.Workers = 1
 	}
 	res := Result{Status: StatusNoSolution, Obj: math.Inf(1)}
 	if opt.Incumbent != nil {
@@ -376,10 +362,7 @@ func solve(mod *Model, opt Options) Result {
 		}
 	}
 
-	sc.solvers = make([]*lpSolver, opt.Workers)
-	for i := range sc.solvers {
-		sc.solvers[i] = newLPSolver(sc.p)
-	}
+	sc.lp = newLPSolver(sc.p)
 
 	// Phase 1: depth-first dive until a first incumbent exists. DFS with
 	// backtracking reaches integral leaves quickly, unlike pure best-first
@@ -399,7 +382,7 @@ func solve(mod *Model, opt Options) Result {
 	sc.dive(rootLo, rootHi, rootLP, rootBasis, rootStat, &res, dfsBudget)
 
 	// Phase 2: best-first search for optimality (or the requested gap),
-	// Workers nodes per round.
+	// one node at a time.
 	open := &nodeHeap{}
 	heap.Init(open)
 	if frac := pickBranchVar(mod, rootLP.X, opt.IntTol); frac < 0 {
@@ -417,11 +400,7 @@ func solve(mod *Model, opt Options) Result {
 	}
 	sc.branch(open, &bbNode{lo: rootLo, hi: rootHi, depth: 0, basis: rootBasis, stat: rootStat}, rootLP)
 
-	gap := relGap
-
 	truncated := false
-	batch := make([]*bbNode, 0, opt.Workers)
-	lps := make([]nodeLP, opt.Workers)
 	for open.Len() > 0 {
 		if res.Nodes >= opt.MaxNodes {
 			truncated = true
@@ -433,99 +412,47 @@ func solve(mod *Model, opt Options) Result {
 			res.TimedOut = true
 			break
 		}
-		// Fill the round: up to Workers nodes in frontier order, bounded
-		// by the remaining node budget; prune against the incumbent as
-		// they come off the heap.
-		batch = batch[:0]
-		width := opt.Workers
-		if left := opt.MaxNodes - res.Nodes; left < width {
-			width = left
+		nd := heap.Pop(open).(*bbNode)
+		if nd.bound >= res.Obj-1e-9 {
+			continue // pruned by incumbent
 		}
-		for len(batch) < width && open.Len() > 0 {
-			nd := heap.Pop(open).(*bbNode)
-			if nd.bound >= res.Obj-1e-9 {
-				continue // pruned by incumbent
-			}
-			batch = append(batch, nd)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		// The first batch node holds the global frontier minimum: batch
-		// fill pops in bound order and children only weaken bounds.
-		lb := batch[0].bound
+		// Nodes pop in bound order and children only weaken bounds, so nd
+		// holds the global frontier minimum.
+		lb := nd.bound
 		if sc.prunedBound < lb {
 			lb = sc.prunedBound
 		}
-		if res.Status == StatusFeasible && gap(lb) <= opt.RelGap {
-			res.Gap = gap(lb)
+		if res.Status == StatusFeasible && relGap(lb) <= opt.RelGap {
+			res.Gap = relGap(lb)
 			return res
 		}
-		// Solve the round's relaxations concurrently. Batch item k is
-		// pinned to solver k (the batch never exceeds the worker count),
-		// so each solver sees the same node sequence on every run: a
-		// solver's numerical state (LU factors, eta file) feeds the
-		// warm-start shortcut, and racy work assignment would leak
-		// scheduling into pivot choices. The cutoff is fixed at round
-		// start, so the folded outcome is reproducible bit for bit.
-		cutoff := res.Obj - 1e-9
-		if opt.Workers > 1 && len(batch) > 1 {
-			var wg sync.WaitGroup
-			wg.Add(len(batch))
-			for k := range batch {
-				go func(k int) {
-					defer wg.Done()
-					lps[k] = sc.solveNode(sc.solvers[k], batch[k], cutoff)
-				}(k)
-			}
-			wg.Wait()
-		} else {
-			for k, nd := range batch {
-				lps[k] = sc.solveNode(sc.solvers[0], nd, cutoff)
+		out := sc.solveNode(nd, res.Obj-1e-9)
+		res.Nodes++
+		res.LPIters += out.res.Iters
+		res.LPItersSearch += out.res.Iters
+		if out.warm {
+			res.WarmStarts++
+			if out.warmHit {
+				res.WarmHits++
 			}
 		}
-		// Fold the round in frontier order: deterministic incumbent and
-		// branching sequence regardless of goroutine scheduling.
-		for k, nd := range batch {
-			out := &lps[k]
-			res.Nodes++
-			res.LPIters += out.res.Iters
-			res.LPItersSearch += out.res.Iters
-			if out.warm {
-				res.WarmStarts++
-				if out.warmHit {
-					res.WarmHits++
-				}
+		if out.res.Status != LPOptimal {
+			// Infeasible or cutoff nodes prune soundly; iteration-limited
+			// ones surrender their parent bound to the gap.
+			if out.res.Status == LPIterLimit && nd.bound < sc.prunedBound {
+				sc.prunedBound = nd.bound
 			}
-			if out.res.Status != LPOptimal {
-				// Infeasible or cutoff nodes prune soundly; iteration-
-				// limited ones surrender their parent bound to the gap.
-				if out.res.Status == LPIterLimit && nd.bound < sc.prunedBound {
-					sc.prunedBound = nd.bound
-				}
-				continue
-			}
-			if out.res.Obj >= res.Obj-1e-9 {
-				continue
-			}
-			frac := pickBranchVar(mod, out.res.X, opt.IntTol)
-			if frac < 0 {
-				// Integral: new incumbent. Snap to exact integers first.
-				x := snap(mod, out.res.X, opt.IntTol)
-				if err := mod.Feasible(x, 1e-5); err == nil {
-					obj := mod.Objective(x)
-					if obj < res.Obj {
-						res.Obj = obj
-						res.X = x
-						res.Status = StatusFeasible
-						noteIncumbent(&opt, &res)
-					}
-				}
-				continue
-			}
-			nd.basis, nd.stat = out.basis, out.stat
-			sc.branch(open, nd, out.res)
+			continue
 		}
+		if out.res.Obj >= res.Obj-1e-9 {
+			continue
+		}
+		if pickBranchVar(mod, out.res.X, opt.IntTol) < 0 {
+			sc.integralLeaf(out.res.X, &res)
+			continue
+		}
+		nd.basis, nd.stat = out.basis, out.stat
+		sc.branch(open, nd, out.res)
 	}
 
 	// Every exit path recomputes the final gap from the best remaining
@@ -544,7 +471,7 @@ func solve(mod *Model, opt Options) Result {
 		} else if remaining >= res.Obj-1e-9 {
 			res.Gap = 0
 		} else {
-			res.Gap = gap(remaining)
+			res.Gap = relGap(remaining)
 		}
 	case res.Status == StatusNoSolution && !truncated &&
 		open.Len() == 0 && math.IsInf(sc.prunedBound, 1):
@@ -588,7 +515,6 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 	rootNode := &bbNode{lo: rootLo, hi: rootHi, bound: rootLP.Obj, basis: rootBasis, stat: rootStat}
 	rootOut := nodeLP{res: rootLP, basis: rootBasis, stat: rootStat}
 	stack := []dfsNode{{nd: rootNode, lp: &rootOut}}
-	s := sc.solvers[0]
 	for len(stack) > 0 && budget > 0 {
 		if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) { //repolint:allow timenow (solver deadline check)
 			return
@@ -598,7 +524,7 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 		out := node.lp
 		if out == nil {
 			budget--
-			solved := sc.solveNode(s, node.nd, res.Obj-1e-9)
+			solved := sc.solveNode(node.nd, res.Obj-1e-9)
 			res.LPIters += solved.res.Iters
 			res.LPItersDive += solved.res.Iters
 			if solved.warm {
@@ -617,14 +543,7 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 		}
 		frac := pickBranchVar(sc.mod, out.res.X, opt.IntTol)
 		if frac < 0 {
-			x := snap(sc.mod, out.res.X, opt.IntTol)
-			if err := sc.mod.Feasible(x, 1e-5); err == nil {
-				if obj := sc.mod.Objective(x); obj < res.Obj {
-					res.Obj = obj
-					res.X = x
-					res.Status = StatusFeasible
-					noteIncumbent(opt, res)
-				}
+			if sc.integralLeaf(out.res.X, res) {
 				return
 			}
 			continue
@@ -645,6 +564,23 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 			stack = append(stack, up, down)
 		}
 	}
+}
+
+// integralLeaf snaps an integral relaxation point to exact integers and
+// makes it the incumbent when it is feasible and improves on res. It
+// reports whether the snapped point is feasible.
+func (sc *searcher) integralLeaf(x []float64, res *Result) bool {
+	x = snap(sc.mod, x, sc.opt.IntTol)
+	if err := sc.mod.Feasible(x, 1e-5); err != nil {
+		return false
+	}
+	if obj := sc.mod.Objective(x); obj < res.Obj {
+		res.Obj = obj
+		res.X = x
+		res.Status = StatusFeasible
+		noteIncumbent(&sc.opt, res)
+	}
+	return true
 }
 
 // pickBranchVar returns the fractional integral variable to branch on:

@@ -201,7 +201,7 @@ func TestMILPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// ---- parallel search determinism ------------------------------------
+// ---- search reproducibility ---------------------------------------
 
 // resultKey serializes everything that must be reproducible: status,
 // objective and solution bit patterns, and every effort counter.
@@ -214,52 +214,4 @@ func resultKey(res Result) string {
 		s += fmt.Sprintf(" %x", math.Float64bits(v))
 	}
 	return s
-}
-
-// TestParallelDeterminism requires the worker pool to produce bitwise
-// identical results run-to-run for a fixed (Workers, Seed): batch items
-// are pinned to solvers, the incumbent cutoff is frozen per round, and
-// results fold in frontier order, so goroutine scheduling never reaches
-// the numerics. (Different worker counts may legitimately differ on
-// truncated searches: each width explores a different node sequence.)
-func TestParallelDeterminism(t *testing.T) {
-	models := map[string]*Model{
-		"chunk":    BenchChunkModel(),
-		"knapsack": BenchKnapsackModel(40, 11),
-	}
-	widths := []int{1, 2, 4}
-	maxNodes := 800
-	if testing.Short() {
-		// Keep the race-detector run (make race) in seconds: one width,
-		// smaller budget — the full matrix runs in plain `go test`.
-		delete(models, "chunk")
-		models["chunk-small"] = BenchAssignmentModel(10, 3, 5)
-		widths = []int{2}
-		maxNodes = 200
-	}
-	for name, m := range models {
-		for _, workers := range widths {
-			opt := Options{MaxNodes: maxNodes, RelGap: 0.02, Seed: 42, Workers: workers}
-			a := resultKey(Solve(m, opt))
-			b := resultKey(Solve(m, opt))
-			if a != b {
-				t.Errorf("%s workers=%d: two runs differ:\n%s\n%s", name, workers, a, b)
-			}
-		}
-	}
-}
-
-// TestParallelDeterminismSeedSensitivity pins down that Seed changes the
-// tie-break order (so it is actually wired through) without changing the
-// objective on a model solved to optimality.
-func TestParallelDeterminismSeedSensitivity(t *testing.T) {
-	m := BenchKnapsackModel(40, 11)
-	a := Solve(m, Options{Workers: 2, Seed: 1})
-	b := Solve(m, Options{Workers: 2, Seed: 99})
-	if a.Status != StatusOptimal || b.Status != StatusOptimal {
-		t.Fatalf("status %v / %v, want optimal", a.Status, b.Status)
-	}
-	if !objClose(a.Obj, b.Obj) {
-		t.Errorf("objective depends on seed: %.9g vs %.9g", a.Obj, b.Obj)
-	}
 }

@@ -97,10 +97,3 @@ func BenchmarkAssignmentMILP(b *testing.B) {
 	b.ResetTimer()
 	benchSolve(b, m, Options{MaxNodes: 5000})
 }
-
-// BenchmarkChunkMILPParallel2 runs the deterministic two-wide search.
-func BenchmarkChunkMILPParallel2(b *testing.B) {
-	m := BenchChunkModel()
-	b.ResetTimer()
-	benchSolve(b, m, Options{MaxNodes: 3000, RelGap: 0.05, Workers: 2})
-}

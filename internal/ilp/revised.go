@@ -26,8 +26,7 @@ const lpCutoff LPStatus = -2
 
 // lpSolver is one revised-simplex workspace bound to a compiled problem.
 // It is reused across branch-and-bound nodes (only bounds change) and is
-// NOT safe for concurrent use — the parallel search gives each worker its
-// own instance.
+// not safe for concurrent use.
 type lpSolver struct {
 	p *prob
 

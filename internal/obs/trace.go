@@ -33,9 +33,10 @@ func Float(k string, v float64) Attr { return Attr{k, v} }
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{k, v} }
 
-// Dur builds a duration attribute (exported in milliseconds).
+// Dur builds a duration attribute in milliseconds. The key gets an "_ms"
+// suffix so every exported duration names its unit.
 func Dur(k string, v time.Duration) Attr {
-	return Attr{k, float64(v.Nanoseconds()) / 1e6}
+	return Attr{k + "_ms", float64(v.Nanoseconds()) / 1e6}
 }
 
 // event is one recorded begin/end marker. Events are appended under the

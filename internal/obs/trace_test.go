@@ -63,6 +63,22 @@ func TestVerboseLogger(t *testing.T) {
 	}
 }
 
+// TestDurNamesItsUnit checks that duration attributes carry an "_ms" key
+// suffix and a millisecond value, in the attribute and in the -v log.
+func TestDurNamesItsUnit(t *testing.T) {
+	a := Dur("solve_time", 3585549375*time.Nanosecond)
+	if a.Key != "solve_time_ms" || a.Val != 3585.549375 {
+		t.Errorf("Dur = %+v, want {solve_time_ms 3585.549375}", a)
+	}
+	tr := NewTracer()
+	var buf bytes.Buffer
+	tr.SetLogger(&buf)
+	tr.Start("parallelize", Dur("solve_time", 1500*time.Microsecond)).End()
+	if line := buf.String(); !strings.Contains(line, "solve_time_ms=1.5") {
+		t.Errorf("verbose log lacks the unit-suffixed key: %q", line)
+	}
+}
+
 // TestChromeExportBalanced drives a realistic span tree plus occupancy
 // slices through the exporter and checks the invariants a trace viewer
 // relies on: valid JSON, every 'B' matched by an 'E' on the same
