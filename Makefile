@@ -26,7 +26,7 @@ test:
 # -short keeps the race gate in the low minutes: the heaviest
 # sequential solves are skipped (plain `make test` still runs them
 # race-free) while every concurrency path stays covered — the dse
-# worker pool and shared cache, the region-solve store (concurrent
+# worker pool and its shared store, the region-solve store (concurrent
 # Get/Put, singleflight) and the core region scheduler's 4-worker
 # byte-identity run.
 race:

@@ -58,6 +58,7 @@ import (
 	"repro/internal/clitelemetry"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/solstore"
 )
 
 func main() {
@@ -105,7 +106,7 @@ func main() {
 		Workers:        *workersFlag,
 		QueueDepth:     *queueFlag,
 		DefaultTimeout: *timeoutFlag,
-		StoreCapacity:  *storeCapFlag,
+		Store:          solstore.New(solstore.Options{Capacity: *storeCapFlag, Metrics: reg, Events: tele.Events}),
 		RegionWorkers:  *regWorkers,
 		Metrics:        reg,
 		Events:         tele.Events,

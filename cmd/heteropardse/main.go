@@ -15,14 +15,14 @@
 //	-points n          sample size drawn from the space (default 200)
 //	-benchmarks a,b,c  bundled benchmarks to sweep (default mult_10,fir_256,iir_4; "all" for every one)
 //	-seed n            sweep seed; equal seeds give byte-identical output (default 1)
-//	-cache dir         persist evaluation outcomes to dir (warm runs hit instead of re-solving)
+//	-cache dir         persist evaluation outcomes to dir as <key>.json (warm runs hit instead of re-solving)
 //	-out csv|md|json   report format (default md)
 //	-o file            write the report to file instead of stdout
 //	-workers n         worker-pool size (default NumCPU)
 //	-ilp-nodes n       per-ILP branch-and-bound node budget (default 60; ~20 for big sweeps)
 //	-max-tasks n       per-region task-bound cap (default 4)
 //	-region-workers n  per-evaluation region-solve workers (default 1 = sequential)
-//	-store-cap n       region-solve store capacity (0 = default sizing)
+//	-store-cap n       capacity of the store holding outcomes and region solves (0 = default sizing)
 //	-stats             print cache and solver statistics to stderr
 //	-trace out.json    write a Chrome trace_event file of the sweep
 //	-metrics-addr a    serve live /metrics, /healthz and /debug/pprof/ on a
@@ -64,7 +64,7 @@ func main() {
 		ilpNodes   = flag.Int("ilp-nodes", 0, "per-ILP branch-and-bound node budget (0 = sweep default 60)")
 		maxTasks   = flag.Int("max-tasks", 0, "per-region task-bound cap (0 = sweep default 4; raise for better plans on big platforms, at steep solve cost)")
 		regWorkers = flag.Int("region-workers", 0, "per-evaluation region-solve workers (0/1 = sequential; output is byte-identical per width)")
-		storeCap   = flag.Int("store-cap", 0, "region-solve store capacity shared across all sweep points (0 = default sizing)")
+		storeCap   = flag.Int("store-cap", 0, "capacity of the store holding evaluation outcomes and region solves, shared across all sweep points (0 = default sizing)")
 		statsFlag  = flag.Bool("stats", false, "print cache and solver statistics to stderr")
 		traceFlag  = flag.String("trace", "", "write a Chrome trace_event JSON file of the sweep")
 		metricsAdr = flag.String("metrics-addr", "", "serve live telemetry (/metrics Prometheus text, /healthz, /events, /debug/pprof/) on this address, e.g. localhost:9090")
@@ -162,22 +162,19 @@ func main() {
 	if *regWorkers > 0 {
 		cfg.RegionWorkers = *regWorkers
 	}
-	// The whole-solution cache and the region-solve store share one
-	// bounded arena; the engine threads it through every evaluation so
+	// One bounded store holds the evaluation outcomes and the region
+	// solves; the engine threads it through every evaluation so
 	// neighboring points reuse region subproblems.
 	if err := clitelemetry.ValidateStoreCap(*storeCap, "selects the default sizing"); err != nil {
 		fatalf("%v", err)
 	}
-	var store *solstore.Store
-	if *storeCap > 0 {
-		store = solstore.New(solstore.Options{Capacity: *storeCap, Metrics: observer.M(), Events: observer.E()})
-	}
 	eng := &dse.Engine{
-		Workers: *workers,
-		Config:  cfg,
-		Seed:    *seedFlag,
-		Cache:   dse.NewCacheOn(store, *cacheFlag, observer.M()),
-		Obs:     observer,
+		Workers:  *workers,
+		Config:   cfg,
+		Seed:     *seedFlag,
+		Store:    solstore.New(solstore.Options{Capacity: *storeCap, Metrics: observer.M(), Events: observer.E()}),
+		CacheDir: *cacheFlag,
+		Obs:      observer,
 	}
 
 	// Ctrl-C cancels the sweep at the next job boundary.

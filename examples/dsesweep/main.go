@@ -1,6 +1,6 @@
 // Example dsesweep explores a small heterogeneous-platform design space
 // for one benchmark through the internal/dse library API: enumerate a
-// space, sweep it on a worker pool with a solution cache, and print the
+// space, sweep it on a worker pool, and print the
 // Pareto-optimal platforms.
 //
 // Run with: go run ./examples/dsesweep
@@ -39,7 +39,7 @@ func main() {
 	eng := &dse.Engine{
 		Config: dse.SweepConfig(),
 		Seed:   1,
-		Cache:  dse.NewCache("", nil), // in-memory; pass a dir to persist
+		// CacheDir: ".dse-cache" would persist outcomes across runs.
 	}
 	res, err := eng.Run(context.Background(), points, workloads)
 	if err != nil {

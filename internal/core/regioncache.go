@@ -110,47 +110,32 @@ func (p *Parallelizer) noteRegionSolve(model string, cached bool, d time.Duratio
 }
 
 // solveRegion runs one region ILP (tasks or chunks model per rs.kind)
-// through the shared store when one is configured.
+// through the shared store.
 func (p *Parallelizer) solveRegion(rs *regionSpec, seqPC, maxTasks int) *Solution {
-	start := time.Now() //repolint:allow timenow (telemetry only, never solver-visible)
-	if p.store == nil {
-		sol := p.assembleFromAssignment(rs, p.regionSolver(rs, seqPC, maxTasks), seqPC)
-		p.noteRegionSolve(regionModel(rs), false, time.Since(start)) //repolint:allow timenow
-		return sol
-	}
-	key := p.regionKey(rs, seqPC, maxTasks, 0, false)
-	v, cached := p.store.GetOrCompute(key, func() any {
-		scratch := p.scratch()
-		return &regionOutcome{
-			Asg:  scratch.regionSolver(rs, seqPC, maxTasks),
-			Recs: scratch.stats.Solves,
-		}
-	})
-	out := v.(*regionOutcome)
-	p.replayRecords(out.Recs, regionLabel(rs))
-	p.noteRegionSolve(regionModel(rs), cached, time.Since(start)) //repolint:allow timenow
-	return p.assembleFromAssignment(rs, out.Asg, seqPC)
+	return p.recallRegion(rs, regionModel(rs), p.regionKey(rs, seqPC, maxTasks, 0, false), seqPC,
+		func(sub *Parallelizer) *regionAssignment { return sub.regionSolver(rs, seqPC, maxTasks) })
 }
 
 // solvePipeline is solveRegion for the stage-partitioning model.
 func (p *Parallelizer) solvePipeline(rs *regionSpec, iters float64, seqPC, maxTasks int) *Solution {
+	return p.recallRegion(rs, "pipeline", p.regionKey(rs, seqPC, maxTasks, iters, true), seqPC,
+		func(sub *Parallelizer) *regionAssignment { return sub.ilpParPipeline(rs, iters, seqPC, maxTasks) })
+}
+
+// recallRegion serves one region solve from the store under key, or
+// runs solve on a private scratch parallelizer and stores its
+// assignment with the solve records it produced. A nil store computes
+// every time. Either way the records are replayed under the caller's
+// region label, so stats do not depend on store warmth.
+func (p *Parallelizer) recallRegion(rs *regionSpec, model, key string, seqPC int, solve func(sub *Parallelizer) *regionAssignment) *Solution {
 	start := time.Now() //repolint:allow timenow (telemetry only, never solver-visible)
-	if p.store == nil {
-		sol := p.assembleFromAssignment(rs, p.ilpParPipeline(rs, iters, seqPC, maxTasks), seqPC)
-		p.noteRegionSolve("pipeline", false, time.Since(start)) //repolint:allow timenow
-		return sol
-	}
-	key := p.regionKey(rs, seqPC, maxTasks, iters, true)
 	v, cached := p.store.GetOrCompute(key, func() any {
 		scratch := p.scratch()
-		return &regionOutcome{
-			Asg:  scratch.ilpParPipeline(rs, iters, seqPC, maxTasks),
-			Recs: scratch.stats.Solves,
-		}
+		return &regionOutcome{Asg: solve(scratch), Recs: scratch.stats.Solves}
 	})
 	out := v.(*regionOutcome)
 	p.replayRecords(out.Recs, regionLabel(rs))
-	p.noteRegionSolve("pipeline", cached, time.Since(start)) //repolint:allow timenow
+	p.noteRegionSolve(model, cached, time.Since(start)) //repolint:allow timenow
 	return p.assembleFromAssignment(rs, out.Asg, seqPC)
 }
 

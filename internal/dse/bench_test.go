@@ -53,10 +53,9 @@ func benchPair(b *testing.B) ([]Point, *Workload) {
 	return pair, w
 }
 
-func sweepOnce(b *testing.B, pair []Point, w *Workload, store *solstore.Store) *SweepResult {
+func sweepOnce(b *testing.B, pair []Point, w *Workload, store *solstore.Store, seed int64) *SweepResult {
 	b.Helper()
-	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 42,
-		Cache: NewCache("", nil), Store: store, SkipAudit: true}
+	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: seed, Store: store, SkipAudit: true}
 	res, err := eng.Run(context.Background(), pair, []*Workload{w})
 	if err != nil {
 		b.Fatal(err)
@@ -65,29 +64,29 @@ func sweepOnce(b *testing.B, pair []Point, w *Workload, store *solstore.Store) *
 }
 
 // BenchmarkSweepPointCold measures a two-point sweep where every layer
-// starts cold: the whole-solution cache and the region store are fresh
+// starts cold: the store holding outcomes and region solves is fresh
 // each iteration (the second point still reuses the first's regions).
 func BenchmarkSweepPointCold(b *testing.B) {
 	pair, w := benchPair(b)
 	var res *SweepResult
 	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, pair, w, solstore.New(solstore.Options{}))
+		res = sweepOnce(b, pair, w, solstore.New(solstore.Options{}), 42)
 	}
 	b.ReportMetric(100*res.RegionHitRate(), "region-hit-%")
 	b.ReportMetric(float64(res.RegionDedups), "dedups")
 }
 
 // BenchmarkSweepPointWarm measures the same sweep against a region
-// store warmed by one priming sweep, with a fresh whole-solution cache
-// each iteration: every region ILP is served from the store.
+// store warmed by one priming sweep, with a new seed each iteration so
+// every outcome misses while every region ILP is served from the store.
 func BenchmarkSweepPointWarm(b *testing.B) {
 	pair, w := benchPair(b)
 	store := solstore.New(solstore.Options{})
-	sweepOnce(b, pair, w, store)
+	sweepOnce(b, pair, w, store, 42)
 	b.ResetTimer()
 	var res *SweepResult
 	for i := 0; i < b.N; i++ {
-		res = sweepOnce(b, pair, w, store)
+		res = sweepOnce(b, pair, w, store, int64(43+i))
 	}
 	b.ReportMetric(100*res.RegionHitRate(), "region-hit-%")
 	b.ReportMetric(float64(res.RegionDedups), "dedups")

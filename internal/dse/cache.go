@@ -8,13 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/htg"
-	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/solstore"
 )
 
 // HTGHash returns a canonical content hash of an Augmented Hierarchical
@@ -73,13 +70,13 @@ func HTGHash(g *htg.Graph) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
-// CacheKey derives the content address of one sweep evaluation:
-// everything that determines the outcome — program (canonical HTG
-// hash), platform (fingerprint), resolved main-core class and the
-// parallelizer configuration. Scenario enters through the resolved
-// main class, so two scenarios that pick the same class on a platform
-// (e.g. any scenario on a single-class platform) correctly share one
-// entry.
+// CacheKey derives the content address of one sweep evaluation's ILP
+// side: program (canonical HTG hash), platform (fingerprint), resolved
+// main-core class and the parallelizer configuration. Scenario enters
+// through the resolved main class, so two scenarios that pick the same
+// class on a platform (e.g. any scenario on a single-class platform)
+// share one evaluation. The job's GA seed derives from it; the recall
+// key adds the seed and GA settings (Engine.outcomeKey).
 func CacheKey(htgHash string, pf *platform.Platform, mainClass int, cfg core.Config) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("v1|%s|%s|%d|%s",
 		htgHash, pf.Fingerprint(), mainClass, cfg.Fingerprint())))
@@ -122,129 +119,42 @@ type Outcome struct {
 // populations can never collide.
 const dseKeyPrefix = "dse|"
 
-// Cache is a concurrency-safe, content-addressed store of evaluation
-// outcomes. Its in-memory interior is a solstore.Store — usually the
-// same sharded store the parallelizer consults for region subproblems,
-// so one size-bounded arena serves both whole-solution recalls and
-// cross-point region reuse — optionally backed by a directory of
-// <key>.json files so later runs start warm. Hit/miss counts flow into
-// the obs metrics registry under dse.cache.*.
-type Cache struct {
-	store   *solstore.Store
-	dir     string
-	metrics *obs.Registry
-
-	mu     sync.Mutex
-	hits   int
-	misses int
-	// storeHits/storeMisses record the cache's own contribution to the
-	// interior store's counters (each Get performs exactly one store
-	// lookup). Callers sharing the store with region solves subtract
-	// these to recover pure region-solve traffic.
-	storeHits   int
-	storeMisses int
+// outcomeKey is the recall address of one job's Outcome: its CacheKey
+// extended by what the GA baseline also depends on, the sweep seed and
+// the resolved GA settings. The store entry ("dse|" + key) and the
+// CacheDir file (<key>.json) both use it.
+func (e *Engine) outcomeKey(cacheKey string) string {
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%+v", cacheKey, e.Seed, e.GA.withDefaults())))
+	return fmt.Sprintf("%x", h[:16])
 }
 
-// NewCache creates a cache over a private interior store. dir may be
-// empty (memory-only); otherwise it is created on first Put. metrics
-// may be nil.
-func NewCache(dir string, metrics *obs.Registry) *Cache {
-	return NewCacheOn(nil, dir, metrics)
-}
-
-// NewCacheOn creates a cache whose interior is the given shared store,
-// so whole-solution outcomes and region subproblems live in one
-// bounded arena. A nil store gets a private default store.
-func NewCacheOn(store *solstore.Store, dir string, metrics *obs.Registry) *Cache {
-	if store == nil {
-		store = solstore.New(solstore.Options{Metrics: metrics})
-	}
-	return &Cache{store: store, dir: dir, metrics: metrics}
-}
-
-// Store returns the cache's interior solution store (never nil), for
-// sharing with the parallelizer's region-solve path.
-func (c *Cache) Store() *solstore.Store { return c.store }
-
-// Get looks the key up in the interior store, then on disk. Every call
-// counts as exactly one hit or miss.
-func (c *Cache) Get(key string) (Outcome, bool) {
+// readOutcome loads <key>.json from CacheDir; false when CacheDir is
+// unset or the file is missing or unreadable.
+func (e *Engine) readOutcome(key string) (Outcome, bool) {
 	var out Outcome
-	v, ok := c.store.Get(dseKeyPrefix + key)
-	c.mu.Lock()
-	if ok {
-		c.storeHits++
-	} else {
-		c.storeMisses++
+	if e.CacheDir == "" {
+		return out, false
 	}
-	c.mu.Unlock()
-	if ok {
-		out, ok = v.(Outcome)
-	}
-	if !ok && c.dir != "" {
-		if data, err := os.ReadFile(filepath.Join(c.dir, key+".json")); err == nil {
-			if json.Unmarshal(data, &out) == nil {
-				ok = true
-				c.store.Put(dseKeyPrefix+key, out)
-			}
-		}
-	}
-	c.mu.Lock()
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	if ok {
-		c.metrics.Counter("dse.cache.hits").Inc()
-	} else {
-		c.metrics.Counter("dse.cache.misses").Inc()
-	}
-	return out, ok
+	data, err := os.ReadFile(filepath.Join(e.CacheDir, key+".json"))
+	return out, err == nil && json.Unmarshal(data, &out) == nil
 }
 
-// Put stores the outcome in the interior store and, when a directory
-// is configured, persists it as <key>.json (atomically via rename).
-func (c *Cache) Put(key string, out Outcome) error {
-	c.store.Put(dseKeyPrefix+key, out)
-	if c.dir == "" {
+// writeOutcome persists out as <key>.json under CacheDir (atomically,
+// via rename); a no-op when CacheDir is unset.
+func (e *Engine) writeOutcome(key string, out Outcome) error {
+	if e.CacheDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+	if err := os.MkdirAll(e.CacheDir, 0o755); err != nil {
 		return fmt.Errorf("dse: cache dir: %w", err)
 	}
 	data, err := json.MarshalIndent(out, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(c.dir, key+".json.tmp")
+	tmp := filepath.Join(e.CacheDir, key+".json.tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("dse: cache write: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(c.dir, key+".json"))
-}
-
-// Stats returns the hit/miss counts since creation.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// StoreTraffic returns how many interior-store hits and misses this
-// cache's Gets have generated since creation.
-func (c *Cache) StoreTraffic() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.storeHits, c.storeMisses
-}
-
-// HitRate returns hits/(hits+misses), 0 when empty.
-func (c *Cache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
+	return os.Rename(tmp, filepath.Join(e.CacheDir, key+".json"))
 }

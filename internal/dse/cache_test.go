@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/solstore"
 )
 
 func TestCacheKeySensitivity(t *testing.T) {
@@ -41,70 +43,104 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestCacheMemoryRoundTrip checks in-memory recall through a shared
+// Store: a second Run on the store the first one filled recalls every
+// outcome without touching the solver, renders the same CSV, and the
+// dse.cache.* metrics count one miss and one hit per point.
 func TestCacheMemoryRoundTrip(t *testing.T) {
+	spec := tinySpace()
+	spec.MaxClasses = 1
+	points := spec.Enumerate()
+	w := testWorkload(t, "tiny2", tinyProgram2)
+	store := solstore.New(solstore.Options{})
 	reg := obs.NewRegistry()
-	c := NewCache("", reg)
-	key := "deadbeef"
-	if _, ok := c.Get(key); ok {
-		t.Fatalf("empty cache reported a hit")
+	sweep := func() (*SweepResult, string) {
+		eng := &Engine{Workers: 2, Config: cheapConfig(), GA: cheapGA(), Seed: 1, Store: store, Obs: &obs.Observer{Metrics: reg}}
+		res, err := eng.Run(context.Background(), points, []*Workload{w})
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		csv, err := res.Render(FormatCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, csv
 	}
-	want := Outcome{Speedup: 2.5, EstimatedSpeedup: 2.75, NumTasks: 7, GASpeedup: 2.1, GAGapPct: 23.6}
-	if err := c.Put(key, want); err != nil {
-		t.Fatalf("put: %v", err)
+
+	cold, coldCSV := sweep()
+	if cold.CacheHits != 0 || cold.CacheMisses != len(points) {
+		t.Fatalf("empty store: %d hits / %d misses, want 0/%d", cold.CacheHits, cold.CacheMisses, len(points))
 	}
-	got, ok := c.Get(key)
-	if !ok || got != want {
-		t.Fatalf("get = %+v ok=%v, want %+v", got, ok, want)
+	warm, warmCSV := sweep()
+	if warm.CacheHits != len(points) || warm.CacheMisses != 0 {
+		t.Fatalf("warm store: %d hits / %d misses, want %d/0", warm.CacheHits, warm.CacheMisses, len(points))
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	if warm.RegionHits+warm.RegionMisses+warm.RegionDedups != 0 {
+		t.Errorf("recalled outcomes touched region solves: %d hits / %d misses / %d dedups",
+			warm.RegionHits, warm.RegionMisses, warm.RegionDedups)
 	}
-	if got := c.HitRate(); got != 0.5 {
-		t.Errorf("hit rate = %g, want 0.5", got)
+	if warmCSV != coldCSV {
+		t.Errorf("recalled CSV differs from the computed one")
 	}
-	if v := reg.Counter("dse.cache.hits").Value(); v != 1 {
-		t.Errorf("obs hit counter = %d, want 1", v)
+	if got := warm.HitRate(); got != 1 {
+		t.Errorf("warm hit rate = %g, want 1", got)
 	}
-	if v := reg.Counter("dse.cache.misses").Value(); v != 1 {
-		t.Errorf("obs miss counter = %d, want 1", v)
+	if v := reg.Counter("dse.cache.hits").Value(); v != int64(len(points)) {
+		t.Errorf("obs hit counter = %d, want %d", v, len(points))
+	}
+	if v := reg.Counter("dse.cache.misses").Value(); v != int64(len(points)) {
+		t.Errorf("obs miss counter = %d, want %d", v, len(points))
+	}
+	if v := reg.Gauge("dse.cache.hit_ratio").Value(); v != 1 {
+		t.Errorf("live hit ratio after the warm sweep = %g, want 1", v)
 	}
 }
 
+// TestCacheDiskWarmStart checks CacheDir: a fresh Engine over the same
+// directory — a second process — recalls every outcome from disk
+// without touching the solver, and a sweep with another seed recalls
+// none.
 func TestCacheDiskWarmStart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	want := Outcome{Speedup: 3.25, MakespanNs: 1234.5, EnergyUJ: 9.875, NumILPs: 3}
-
-	first := NewCache(dir, nil)
-	if err := first.Put("cafe0123", want); err != nil {
-		t.Fatalf("put: %v", err)
+	spec := tinySpace()
+	spec.MaxClasses = 1
+	points := spec.Enumerate()
+	w := testWorkload(t, "tiny2", tinyProgram2)
+	sweep := func(seed int64) (*SweepResult, string) {
+		eng := &Engine{Workers: 2, Config: cheapConfig(), GA: cheapGA(), Seed: seed, CacheDir: dir}
+		res, err := eng.Run(context.Background(), points, []*Workload{w})
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		csv, err := res.Render(FormatCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, csv
 	}
 
-	// A fresh cache over the same directory — a second process — starts
-	// warm.
-	second := NewCache(dir, nil)
-	got, ok := second.Get("cafe0123")
-	if !ok {
-		t.Fatalf("disk-backed entry not found on warm start")
+	cold, coldCSV := sweep(1)
+	if cold.CacheMisses != len(points) {
+		t.Fatalf("cold sweep: %d misses, want %d", cold.CacheMisses, len(points))
 	}
-	if got != want {
-		t.Fatalf("disk round-trip changed outcome: %+v != %+v", got, want)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != len(points) {
+		t.Errorf("cache dir holds %d outcomes, want %d", len(files), len(points))
 	}
-	// The entry was promoted to memory: a second Get hits without disk.
-	if _, ok := second.Get("cafe0123"); !ok {
-		t.Fatalf("promoted entry lost")
-	}
-	if hits, misses := second.Stats(); hits != 2 || misses != 0 {
-		t.Errorf("warm stats = %d hits / %d misses, want 2/0", hits, misses)
-	}
-}
 
-func TestCacheNilSafety(t *testing.T) {
-	// nil metrics registry must not panic (obs registries are nil-safe).
-	c := NewCache("", nil)
-	c.Get("k")
-	if err := c.Put("k", Outcome{}); err != nil {
-		t.Fatalf("put: %v", err)
+	warm, warmCSV := sweep(1)
+	if warm.CacheHits != len(points) || warm.CacheMisses != 0 {
+		t.Errorf("warm start: %d hits / %d misses, want %d/0", warm.CacheHits, warm.CacheMisses, len(points))
 	}
-	c.Get("k")
+	if warm.RegionHits+warm.RegionMisses+warm.RegionDedups != 0 {
+		t.Errorf("warm start touched region solves: %d hits / %d misses / %d dedups",
+			warm.RegionHits, warm.RegionMisses, warm.RegionDedups)
+	}
+	if warmCSV != coldCSV {
+		t.Errorf("disk-recalled CSV differs from the computed one")
+	}
+
+	if other, _ := sweep(2); other.CacheHits != 0 {
+		t.Errorf("another seed recalled %d outcomes from disk", other.CacheHits)
+	}
 }

@@ -13,8 +13,9 @@
 //
 //   - a worker-pool executor (one ILP pipeline per sweep point, all
 //     points independent),
-//   - a content-addressed solution cache keyed by (canonical HTG hash,
-//     platform fingerprint, main class, parallelizer config), so
+//   - content-addressed outcomes keyed by (canonical HTG hash, platform
+//     fingerprint, main class, parallelizer config, seed, GA settings),
+//     kept in the shared solution store and optionally on disk, so
 //     repeated points and re-runs hit instead of re-solving,
 //   - a seeded bias-elitist genetic algorithm that searches task→core
 //     mappings directly as a cheap baseline next to the exact ILP,

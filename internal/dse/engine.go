@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -62,15 +63,16 @@ type Engine struct {
 	// Seed derives every stochastic decision (the GA's randomness);
 	// equal seeds give byte-identical sweep results.
 	Seed int64
-	// Cache, when non-nil, short-circuits repeated evaluations.
-	Cache *Cache
-	// Store, when non-nil, is the shared region-solve store threaded
-	// into every evaluation's parallelizer config so neighboring sweep
-	// points reuse region subproblems (and, when Cache is nil, it also
-	// serves as the interior of the run's whole-solution cache). When
-	// nil, the run shares the cache's interior store instead, so the
-	// two layers always cooperate by default.
+	// Store holds every job's Outcome under a "dse|" key and is threaded
+	// into each evaluation's parallelizer config, so neighboring sweep
+	// points reuse region subproblems and a later Run over the same
+	// store recalls earlier outcomes. A nil Store gets a private store
+	// for each Run.
 	Store *solstore.Store
+	// CacheDir, when set, persists each computed Outcome as <key>.json
+	// in this directory, and outcomes missing from the store are read
+	// back from it, so a later process starts warm.
+	CacheDir string
 	// Obs receives phase spans and solver/cache metrics (may be nil).
 	Obs *obs.Observer
 	// SkipAudit disables the per-evaluation race-and-budget audit of every
@@ -114,12 +116,12 @@ type SweepResult struct {
 	// (maximize GeoSpeedup, minimize Cores, minimize MeanEnergyUJ),
 	// best speedup first.
 	Front []PointSummary
-	// CacheHits / CacheMisses count this run's whole-solution cache
-	// outcomes.
+	// CacheHits counts this run's jobs whose Outcome was recalled (from
+	// the store, CacheDir or an earlier job with the same key);
+	// CacheMisses the jobs evaluated.
 	CacheHits, CacheMisses int
 	// RegionHits / RegionMisses / RegionDedups count this run's
-	// region-solve store outcomes (whole-solution cache traffic
-	// excluded): hits are region ILPs served from the shared store
+	// region-solve store outcomes (Outcome lookups excluded): hits are region ILPs served from the shared store
 	// instead of re-solved, dedups are concurrent duplicate solves
 	// collapsed in flight. Cross-point reuse shows up here — two
 	// points sharing a platform share their entire region workload.
@@ -156,11 +158,34 @@ func (r *SweepResult) MedianGAGapPct() float64 {
 	return median(gaps)
 }
 
+// recall records where a job's Outcome came from.
+type recall uint8
+
+const (
+	computed  recall = iota // solved in this run
+	fromStore               // the store's "dse|" entry
+	fromDisk                // a <key>.json file under CacheDir
+	fromOwner               // an earlier job of this run with the same key
+)
+
+// job is one (point, workload) pair of a sweep. owner is the index of
+// the first job with the same recall key; only owners are evaluated.
+type job struct {
+	pt        Point
+	w         *Workload
+	mainClass int
+	cacheKey  string
+	key       string
+	owner     int
+}
+
 // Run executes the sweep over points × workloads. Jobs are independent
 // and scheduled on min(Workers, NumCPU-bounded default) goroutines; a
 // cancelled context stops the sweep at the next job boundary and
 // returns the context error. The result is deterministic for equal
 // (points, workloads, Config, GA, Seed) regardless of worker count.
+// Jobs sharing a recall key are evaluated once, by the first of them
+// in job order; the others copy its Outcome as cache hits.
 func (e *Engine) Run(ctx context.Context, points []Point, workloads []*Workload) (*SweepResult, error) {
 	if len(points) == 0 || len(workloads) == 0 {
 		return nil, fmt.Errorf("dse: empty sweep (%d points, %d workloads)", len(points), len(workloads))
@@ -170,12 +195,8 @@ func (e *Engine) Run(ctx context.Context, points []Point, workloads []*Workload)
 		workers = runtime.NumCPU() //repolint:allow numcpu (pool width only: points are independent and folded in point order)
 	}
 	store := e.Store
-	cache := e.Cache
-	if cache == nil {
-		cache = NewCacheOn(store, "", e.Obs.M())
-	}
 	if store == nil {
-		store = cache.Store()
+		store = solstore.New(solstore.Options{Metrics: e.Obs.M()})
 	}
 	sweep := e.Obs.T().Start("dse-sweep",
 		obs.Int("points", len(points)),
@@ -183,32 +204,50 @@ func (e *Engine) Run(ctx context.Context, points []Point, workloads []*Workload)
 		obs.Int("workers", workers))
 	defer sweep.End()
 
-	type job struct{ pi, wi int }
 	jobs := make([]job, 0, len(points)*len(workloads))
-	for pi := range points {
-		for wi := range workloads {
-			jobs = append(jobs, job{pi, wi})
+	firstOf := map[string]int{}
+	for _, pt := range points {
+		mainClass := pt.Scenario.MainClass(pt.Platform)
+		for _, w := range workloads {
+			j := job{pt: pt, w: w, mainClass: mainClass, cacheKey: CacheKey(w.Hash, pt.Platform, mainClass, e.Config)}
+			j.key = e.outcomeKey(j.cacheKey)
+			if o, dup := firstOf[j.key]; dup {
+				j.owner = o
+			} else {
+				j.owner = len(jobs)
+				firstOf[j.key] = j.owner
+			}
+			jobs = append(jobs, j)
 		}
 	}
 	rows := make([]Row, len(jobs))
+	kinds := make([]recall, len(jobs))
 	jobCh := make(chan int)
 	var (
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		firstEr error
 	)
-	startHits, startMisses := cache.Stats()
 	startStore := store.Stats()
-	startTrafHits, startTrafMisses := cache.StoreTraffic()
 	// Live sweep progress for the /metrics scrape surface: completed
 	// jobs, throughput, remaining-work ETA and the running cache hit
 	// ratio. All derived read-only from job completions — telemetry
 	// only, never an input to any evaluation.
 	m := e.Obs.M()
 	completed := m.Counter("dse.points.completed")
+	hitCount, missCount := m.Counter("dse.cache.hits"), m.Counter("dse.cache.misses")
+	var liveHits, liveMisses atomic.Int64
 	m.Gauge("dse.points.total").Set(float64(len(jobs)))
 	sweepStart := time.Now() //repolint:allow timenow (throughput/ETA telemetry only)
-	noteProgress := func() {
+	noteProgress := func(kind recall) {
+		completed.Inc()
+		if kind == computed {
+			missCount.Inc()
+			liveMisses.Add(1)
+		} else {
+			hitCount.Inc()
+			liveHits.Add(1)
+		}
 		if m == nil {
 			return
 		}
@@ -221,31 +260,31 @@ func (e *Engine) Run(ctx context.Context, points []Point, workloads []*Workload)
 				m.Gauge("dse.sweep.eta_seconds").Set((float64(len(jobs)) - done) / rate)
 			}
 		}
-		liveHits, liveMisses := cache.Stats()
-		if n := liveHits - startHits + liveMisses - startMisses; n > 0 {
-			m.Gauge("dse.cache.hit_ratio").Set(float64(liveHits-startHits) / float64(n))
-		}
+		h := liveHits.Load()
+		m.Gauge("dse.cache.hit_ratio").Set(float64(h) / float64(h+liveMisses.Load()))
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ji := range jobCh {
-				j := jobs[ji]
-				row, err := e.evaluate(points[j.pi], workloads[j.wi], cache, store)
+				out, kind, err := e.evaluate(jobs[ji], store)
 				if err != nil {
 					errOnce.Do(func() { firstEr = err })
 					continue
 				}
-				rows[ji] = row
-				completed.Inc()
-				noteProgress()
+				rows[ji] = Row{Point: jobs[ji].pt, Bench: jobs[ji].w.Name, Outcome: out, CacheHit: kind != computed}
+				kinds[ji] = kind
+				noteProgress(kind)
 			}
 		}()
 	}
 	cancelled := false
 feed:
-	for ji := range jobs {
+	for ji, j := range jobs {
+		if j.owner != ji {
+			continue
+		}
 		// Check cancellation before offering the job so an
 		// already-cancelled context never schedules new work (a select
 		// with two ready cases picks randomly).
@@ -270,20 +309,36 @@ feed:
 	if firstEr != nil {
 		return nil, firstEr
 	}
-	endHits, endMisses := cache.Stats()
+	for ji, j := range jobs {
+		if j.owner != ji {
+			rows[ji] = Row{Point: j.pt, Bench: j.w.Name, Outcome: rows[j.owner].Outcome, CacheHit: true}
+			kinds[ji] = fromOwner
+			noteProgress(fromOwner)
+		}
+	}
 	endStore := store.Stats()
 
-	res := &SweepResult{Rows: rows, CacheHits: endHits - startHits, CacheMisses: endMisses - startMisses}
-	// The store's counters mix region-solve traffic with the cache's
-	// own lookups when the two layers share it; subtract the cache's
-	// contribution so the Region* counters isolate region reuse.
+	res := &SweepResult{Rows: rows}
+	// The store's counters mix region-solve traffic with the engine's
+	// one outcome lookup per evaluated job; subtract that lookup so the
+	// Region* counters isolate region reuse.
 	res.RegionHits = int(endStore.Hits - startStore.Hits)
 	res.RegionMisses = int(endStore.Misses - startStore.Misses)
 	res.RegionDedups = int(endStore.Dedups - startStore.Dedups)
-	if cache.Store() == store {
-		endTrafHits, endTrafMisses := cache.StoreTraffic()
-		res.RegionHits -= endTrafHits - startTrafHits
-		res.RegionMisses -= endTrafMisses - startTrafMisses
+	for _, kind := range kinds {
+		switch kind {
+		case computed:
+			res.CacheMisses++
+			res.RegionMisses--
+		case fromStore:
+			res.CacheHits++
+			res.RegionHits--
+		case fromDisk:
+			res.CacheHits++
+			res.RegionMisses--
+		case fromOwner:
+			res.CacheHits++
+		}
 	}
 	for _, w := range workloads {
 		res.Workloads = append(res.Workloads, w.Name)
@@ -310,14 +365,19 @@ feed:
 	return res, nil
 }
 
-// evaluate runs (or recalls) one sweep job: ILP parallelization,
-// simulation, and the GA baseline with its quality gap.
-func (e *Engine) evaluate(pt Point, w *Workload, cache *Cache, store *solstore.Store) (Row, error) {
-	mainClass := pt.Scenario.MainClass(pt.Platform)
-	key := CacheKey(w.Hash, pt.Platform, mainClass, e.Config)
-	if out, ok := cache.Get(key); ok {
-		return Row{Point: pt, Bench: w.Name, Outcome: out, CacheHit: true}, nil
+// evaluate recalls one job's Outcome from the store, then from
+// CacheDir, and otherwise computes it: ILP parallelization,
+// simulation, and the GA baseline with its quality gap. A computed
+// Outcome is stored and persisted; a disk hit is promoted to the store.
+func (e *Engine) evaluate(j job, store *solstore.Store) (Outcome, recall, error) {
+	if v, ok := store.Get(dseKeyPrefix + j.key); ok {
+		return v.(Outcome), fromStore, nil
 	}
+	if out, ok := e.readOutcome(j.key); ok {
+		store.Put(dseKeyPrefix+j.key, out)
+		return out, fromDisk, nil
+	}
+	pt, w, mainClass := j.pt, j.w, j.mainClass
 	span := e.Obs.T().Start("dse-point",
 		obs.String("point", pt.ID), obs.String("bench", w.Name))
 	defer span.End()
@@ -339,16 +399,16 @@ func (e *Engine) evaluate(pt Point, w *Workload, cache *Cache, store *solstore.S
 	}
 	res, err := core.Parallelize(w.Prepared.Graph, pt.Platform, mainClass, core.Heterogeneous, cfg)
 	if err != nil {
-		return Row{}, fmt.Errorf("dse: %s on %s: %w", w.Name, pt.ID, err)
+		return Outcome{}, computed, fmt.Errorf("dse: %s on %s: %w", w.Name, pt.ID, err)
 	}
 	sim := mpsoc.New(pt.Platform, false)
 	meas, err := sim.Run(res.Best, mainClass)
 	if err != nil {
-		return Row{}, fmt.Errorf("dse: simulate %s on %s: %w", w.Name, pt.ID, err)
+		return Outcome{}, computed, fmt.Errorf("dse: simulate %s on %s: %w", w.Name, pt.ID, err)
 	}
 	seq := sim.SequentialBaseline(w.Prepared.Graph, mainClass)
 	ilpEst := res.EstimatedSpeedup(w.Prepared.Graph)
-	ga := RunGA(w.Prepared.Graph, pt.Platform, mainClass, e.GA, gaSeed(e.Seed, key))
+	ga := RunGA(w.Prepared.Graph, pt.Platform, mainClass, e.GA, gaSeed(e.Seed, j.cacheKey))
 	gap := 0.0
 	if ilpEst > 0 {
 		gap = 100 * (ilpEst - ga.Speedup) / ilpEst
@@ -365,12 +425,13 @@ func (e *Engine) evaluate(pt Point, w *Workload, cache *Cache, store *solstore.S
 		GASpeedup:          ga.Speedup,
 		GAGapPct:           gap,
 	}
-	if err := cache.Put(key, out); err != nil {
-		return Row{}, err
+	store.Put(dseKeyPrefix+j.key, out)
+	if err := e.writeOutcome(j.key, out); err != nil {
+		return Outcome{}, computed, err
 	}
 	e.Obs.M().Histogram("dse.point.duration").Observe(time.Since(start))
 	span.SetAttr(obs.Float("speedup", out.Speedup), obs.Float("ga_gap_pct", gap))
-	return Row{Point: pt, Bench: w.Name, Outcome: out}, nil
+	return out, computed, nil
 }
 
 // gaSeed mixes the sweep seed with a job's cache key so each job gets

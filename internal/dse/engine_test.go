@@ -75,17 +75,17 @@ func TestEngineSweepDeterministicAndCached(t *testing.T) {
 		testWorkload(t, "tiny2", tinyProgram2),
 	}
 
-	run := func(workers int) (*SweepResult, *Cache) {
-		cache := NewCache("", nil)
-		eng := &Engine{Workers: workers, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Cache: cache}
+	run := func(workers int) (*SweepResult, *solstore.Store) {
+		store := solstore.New(solstore.Options{})
+		eng := &Engine{Workers: workers, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Store: store}
 		res, err := eng.Run(context.Background(), points, workloads)
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
-		return res, cache
+		return res, store
 	}
 
-	r1, c1 := run(2)
+	r1, s1 := run(2)
 	r2, _ := run(1) // different worker count must not change results
 
 	if len(r1.Rows) != len(points)*len(workloads) {
@@ -112,9 +112,9 @@ func TestEngineSweepDeterministicAndCached(t *testing.T) {
 		}
 	}
 
-	// Warm re-run over the same cache: every job hits, and the rendered
+	// Warm re-run over the same store: every job hits, and the rendered
 	// report is byte-identical to the cold run.
-	eng := &Engine{Workers: 2, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Cache: c1}
+	eng := &Engine{Workers: 2, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Store: s1}
 	r3, err := eng.Run(context.Background(), points, workloads)
 	if err != nil {
 		t.Fatalf("warm sweep: %v", err)
@@ -146,7 +146,7 @@ func TestEngineParallelWorkersDeterminism(t *testing.T) {
 	}
 	w := testWorkload(t, "tiny2", tinyProgram2)
 	render := func(workers int) string {
-		eng := &Engine{Workers: workers, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Cache: NewCache("", nil)}
+		eng := &Engine{Workers: workers, Config: cheapConfig(), GA: cheapGA(), Seed: 42}
 		res, err := eng.Run(context.Background(), points, []*Workload{w})
 		if err != nil {
 			t.Fatalf("sweep with %d workers: %v", workers, err)
@@ -164,22 +164,84 @@ func TestEngineParallelWorkersDeterminism(t *testing.T) {
 
 func TestEngineIntraRunCacheHits(t *testing.T) {
 	// Both scenarios of a single-class platform resolve to the same main
-	// class, so the second scenario's jobs hit the cache within one run.
+	// class, so the second scenario's jobs share the first's key: each
+	// key is evaluated once, by its first job, whatever the worker
+	// count, and the duplicates are recalled as hits.
 	spec := tinySpace()
 	spec.MaxClasses = 1
 	spec.Scenarios = nil // withDefaults: both scenarios
 	points := spec.Enumerate()
-	if len(points)%2 != 0 || len(points) == 0 {
-		t.Fatalf("expected scenario-paired points, got %d", len(points))
+	if len(points) != 4 {
+		t.Fatalf("expected 4 scenario-paired points, got %d", len(points))
 	}
-	w := testWorkload(t, "tiny1", tinyProgram)
-	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 1, Cache: NewCache("", nil)}
-	res, err := eng.Run(context.Background(), points, []*Workload{w})
+	w := testWorkload(t, "tiny2", tinyProgram2)
+	run := func(workers int) (*SweepResult, string) {
+		eng := &Engine{Workers: workers, Config: cheapConfig(), GA: cheapGA(), Seed: 1}
+		res, err := eng.Run(context.Background(), points, []*Workload{w})
+		if err != nil {
+			t.Fatalf("sweep with %d workers: %v", workers, err)
+		}
+		csv, err := res.Render(FormatCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, csv
+	}
+	seq, seqCSV := run(1)
+	if seq.CacheHits != len(points)/2 || seq.CacheMisses != len(points)/2 {
+		t.Errorf("sequential sweep: %d hits / %d misses, want %d/%d (one per duplicate scenario)",
+			seq.CacheHits, seq.CacheMisses, len(points)/2, len(points)/2)
+	}
+	par, parCSV := run(4)
+	if par.CacheHits != seq.CacheHits || par.CacheMisses != seq.CacheMisses {
+		t.Errorf("4 workers: %d hits / %d misses, 1 worker: %d/%d",
+			par.CacheHits, par.CacheMisses, seq.CacheHits, seq.CacheMisses)
+	}
+	if par.RegionMisses != seq.RegionMisses {
+		t.Errorf("4 workers solved %d regions, 1 worker %d", par.RegionMisses, seq.RegionMisses)
+	}
+	if parCSV != seqCSV {
+		t.Errorf("4-worker CSV differs from the sequential one")
+	}
+}
+
+// TestEngineOutcomeKeyCoversGA checks a recalled Outcome is keyed by the
+// GA seed and settings as well: a sweep with another seed or GA over a
+// warm store must compute its GA baseline afresh, not return the
+// earlier sweep's.
+func TestEngineOutcomeKeyCoversGA(t *testing.T) {
+	prep, err := experiments.Prepare(bench.ByName("latnrm_32"))
 	if err != nil {
-		t.Fatalf("sweep: %v", err)
+		t.Fatal(err)
 	}
-	if res.CacheHits != len(points)/2 {
-		t.Errorf("intra-run hits = %d, want %d (one per duplicate scenario)", res.CacheHits, len(points)/2)
+	w := PrepareWorkload(prep)
+	points := tinySpace().Enumerate()[3:5]
+	ga := GAConfig{Population: 4, Generations: 2}
+	sweep := func(store *solstore.Store, seed int64, ga GAConfig) (*SweepResult, string) {
+		eng := &Engine{Workers: 1, Config: cheapConfig(), GA: ga, Seed: seed, Store: store}
+		res, err := eng.Run(context.Background(), points, []*Workload{w})
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		csv, err := res.Render(FormatCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, csv
+	}
+	_, fresh := sweep(nil, 2, ga)
+	store := solstore.New(solstore.Options{})
+	sweep(store, 1, ga)
+	res, warm := sweep(store, 2, ga)
+	if res.CacheHits != 0 {
+		t.Errorf("seed-2 sweep recalled %d seed-1 outcomes", res.CacheHits)
+	}
+	if warm != fresh {
+		t.Errorf("seed-2 sweep over a seed-1 store differs from a fresh seed-2 sweep:\n%s\nwant:\n%s", warm, fresh)
+	}
+	ga.Generations = 3
+	if res, _ := sweep(store, 2, ga); res.CacheHits != 0 {
+		t.Errorf("sweep with other GA settings recalled %d outcomes", res.CacheHits)
 	}
 }
 
@@ -187,7 +249,8 @@ func TestEngineIntraRunCacheHits(t *testing.T) {
 // pays off across sweep points: two points on the same platform with
 // different main classes miss the whole-solution cache but share their
 // entire region workload (the parallelizer solves every region for
-// every class), and a second sweep over a warm store re-solves nothing.
+// every class), and a second sweep with another seed over the warm
+// store misses every outcome but re-solves no region.
 func TestEngineCrossPointRegionReuse(t *testing.T) {
 	spec := tinySpace()
 	spec.Scenarios = []platform.Scenario{platform.ScenarioAccelerator, platform.ScenarioSlowerCores}
@@ -210,9 +273,8 @@ func TestEngineCrossPointRegionReuse(t *testing.T) {
 	w := testWorkload(t, "tiny1", tinyProgram)
 	store := solstore.New(solstore.Options{})
 
-	run := func() *SweepResult {
-		eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 42,
-			Cache: NewCache("", nil), Store: store}
+	run := func(seed int64) *SweepResult {
+		eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: seed, Store: store}
 		res, err := eng.Run(context.Background(), pair, []*Workload{w})
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
@@ -220,7 +282,7 @@ func TestEngineCrossPointRegionReuse(t *testing.T) {
 		return res
 	}
 
-	cold := run()
+	cold := run(42)
 	if cold.CacheHits != 0 {
 		t.Fatalf("distinct main classes still hit the whole-solution cache (%d hits)", cold.CacheHits)
 	}
@@ -231,11 +293,11 @@ func TestEngineCrossPointRegionReuse(t *testing.T) {
 		t.Errorf("second point reused no region solves; want cross-point hits")
 	}
 
-	// Fresh whole-solution cache, warm shared store: every region solve
-	// of every point is served from the store.
-	warm := run()
+	// Another seed, warm shared store: every outcome misses, and every
+	// region solve of every point is served from the store.
+	warm := run(43)
 	if warm.CacheMisses != len(warm.Rows) {
-		t.Fatalf("fresh cache unexpectedly hit (%d misses, want %d)", warm.CacheMisses, len(warm.Rows))
+		t.Fatalf("other seed unexpectedly hit (%d misses, want %d)", warm.CacheMisses, len(warm.Rows))
 	}
 	if warm.RegionMisses != 0 {
 		t.Errorf("warm sweep re-solved %d regions; want 0", warm.RegionMisses)
@@ -248,25 +310,26 @@ func TestEngineCrossPointRegionReuse(t *testing.T) {
 	}
 }
 
-// TestEngineSharedStoreDefault checks the cooperation default: with no
-// explicit Store the engine threads the cache's interior store through
-// the parallelizer, so region reuse needs no extra wiring.
+// TestEngineSharedStoreDefault checks the nil-Store default: each Run
+// gets a private store, threaded through the parallelizer so region
+// reuse needs no extra wiring, and a second Run starts cold.
 func TestEngineSharedStoreDefault(t *testing.T) {
-	cache := NewCache("", nil)
 	spec := tinySpace()
 	spec.MaxClasses = 1
 	points := spec.Enumerate()
 	w := testWorkload(t, "tiny2", tinyProgram2)
-	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 7, Cache: cache}
-	res, err := eng.Run(context.Background(), points, []*Workload{w})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if res.RegionMisses == 0 {
-		t.Errorf("cache's interior store saw no region traffic; engine did not share it")
-	}
-	if got := cache.Store().Len(); got == 0 {
-		t.Errorf("interior store empty after sweep")
+	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 7}
+	for run := 0; run < 2; run++ {
+		res, err := eng.Run(context.Background(), points, []*Workload{w})
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		if res.RegionMisses == 0 {
+			t.Errorf("run %d: private store saw no region traffic; engine did not share it", run)
+		}
+		if res.CacheHits != 0 {
+			t.Errorf("run %d recalled %d outcomes from an earlier run", run, res.CacheHits)
+		}
 	}
 }
 
@@ -301,7 +364,7 @@ func TestEngineGolden(t *testing.T) {
 		t.Fatalf("point 500x2/acc not enumerated")
 	}
 	w := testWorkload(t, "tiny1", tinyProgram)
-	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 42, Cache: NewCache("", nil)}
+	eng := &Engine{Workers: 1, Config: cheapConfig(), GA: cheapGA(), Seed: 42}
 	res, err := eng.Run(context.Background(), []Point{pt}, []*Workload{w})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)

@@ -66,8 +66,6 @@ type Options struct {
 	// Deadline aborts the search when exceeded (zero = none). On abort the
 	// best incumbent is returned with StatusFeasible.
 	Deadline time.Time
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Incumbent optionally provides a known feasible point to prune with.
 	Incumbent []float64
 	// RelGap terminates the search once the relative optimality gap of the
@@ -274,9 +272,6 @@ func solve(mod *Model, opt Options) Result {
 	if opt.MaxNodes == 0 {
 		opt.MaxNodes = 200000
 	}
-	if opt.IntTol == 0 {
-		opt.IntTol = 1e-6
-	}
 	res := Result{Status: StatusNoSolution, Obj: math.Inf(1)}
 	if opt.Incumbent != nil {
 		if err := mod.Feasible(opt.Incumbent, 1e-6); err == nil {
@@ -339,7 +334,7 @@ func solve(mod *Model, opt Options) Result {
 	// tighten every node relaxation of the search.
 	if !opt.DisableCuts && mod.NumIntegral() > 0 {
 		for round := 0; round < cutRounds; round++ {
-			if pickBranchVar(mod, rootLP.X, opt.IntTol) < 0 {
+			if pickBranchVar(mod, rootLP.X) < 0 {
 				break // integral already
 			}
 			cuts := genCuts(mod, rootLP.X)
@@ -385,7 +380,7 @@ func solve(mod *Model, opt Options) Result {
 	// one node at a time.
 	open := &nodeHeap{}
 	heap.Init(open)
-	if frac := pickBranchVar(mod, rootLP.X, opt.IntTol); frac < 0 {
+	if frac := pickBranchVar(mod, rootLP.X); frac < 0 {
 		// Integral root: the dive already recorded it (or failed to snap,
 		// in which case no better point exists below the root).
 		if res.Status == StatusFeasible {
@@ -447,7 +442,7 @@ func solve(mod *Model, opt Options) Result {
 		if out.res.Obj >= res.Obj-1e-9 {
 			continue
 		}
-		if pickBranchVar(mod, out.res.X, opt.IntTol) < 0 {
+		if pickBranchVar(mod, out.res.X) < 0 {
 			sc.integralLeaf(out.res.X, &res)
 			continue
 		}
@@ -483,7 +478,7 @@ func solve(mod *Model, opt Options) Result {
 // branch splits nd on the most fractional variable of lp and pushes both
 // children, sharing the parent's bound slices and basis.
 func (sc *searcher) branch(open *nodeHeap, nd *bbNode, lp LPResult) {
-	frac := pickBranchVar(sc.mod, lp.X, sc.opt.IntTol)
+	frac := pickBranchVar(sc.mod, lp.X)
 	if frac < 0 {
 		return
 	}
@@ -541,7 +536,7 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 		if out.res.Status != LPOptimal || out.res.Obj >= res.Obj-1e-9 {
 			continue
 		}
-		frac := pickBranchVar(sc.mod, out.res.X, opt.IntTol)
+		frac := pickBranchVar(sc.mod, out.res.X)
 		if frac < 0 {
 			if sc.integralLeaf(out.res.X, res) {
 				return
@@ -570,7 +565,7 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 // makes it the incumbent when it is feasible and improves on res. It
 // reports whether the snapped point is feasible.
 func (sc *searcher) integralLeaf(x []float64, res *Result) bool {
-	x = snap(sc.mod, x, sc.opt.IntTol)
+	x = snap(sc.mod, x)
 	if err := sc.mod.Feasible(x, 1e-5); err != nil {
 		return false
 	}
@@ -583,12 +578,16 @@ func (sc *searcher) integralLeaf(x []float64, res *Result) bool {
 	return true
 }
 
+// intTol is the integrality tolerance: an integral variable within it of
+// an integer counts as integral.
+const intTol = 1e-6
+
 // pickBranchVar returns the fractional integral variable to branch on:
 // the most fractional one within the highest priority class that has any
 // fractional variable. Returns -1 when the point is integral.
-func pickBranchVar(mod *Model, x []float64, tol float64) int {
+func pickBranchVar(mod *Model, x []float64) int {
 	best := -1
-	bestDist := tol
+	bestDist := intTol
 	bestPrio := math.MinInt32
 	for i, v := range mod.Vars {
 		if v.Kind == Continuous {
@@ -596,7 +595,7 @@ func pickBranchVar(mod *Model, x []float64, tol float64) int {
 		}
 		f := x[i] - math.Floor(x[i])
 		dist := math.Min(f, 1-f)
-		if dist <= tol {
+		if dist <= intTol {
 			continue
 		}
 		if v.Priority > bestPrio || (v.Priority == bestPrio && dist > bestDist) {
@@ -609,14 +608,14 @@ func pickBranchVar(mod *Model, x []float64, tol float64) int {
 }
 
 // snap rounds near-integral entries of integral variables exactly.
-func snap(mod *Model, x []float64, tol float64) []float64 {
+func snap(mod *Model, x []float64) []float64 {
 	out := append([]float64(nil), x...)
 	for i, v := range mod.Vars {
 		if v.Kind == Continuous {
 			continue
 		}
 		r := math.Round(out[i])
-		if math.Abs(out[i]-r) <= 10*tol {
+		if math.Abs(out[i]-r) <= 10*intTol {
 			out[i] = r
 		}
 	}

@@ -104,7 +104,7 @@ func TestLPEquivalenceBranchBounds(t *testing.T) {
 			continue
 		}
 		// Branch on the first fractional integer variable both ways.
-		frac := pickBranchVar(m, base.X, 1e-6)
+		frac := pickBranchVar(m, base.X)
 		if frac < 0 {
 			continue
 		}

@@ -77,14 +77,10 @@ type Config struct {
 	// DefaultTimeout caps a request's wait (queue + solve) when the
 	// request sets no timeout_ms (DefaultTimeout when <= 0).
 	DefaultTimeout time.Duration
-	// StoreCapacity sizes the shared solution store when Store is nil:
-	// 0 selects solstore.DefaultCapacity; negative is rejected by New
-	// (misconfiguring the cache off would silently discard the scale
-	// story, so it is an error, not a fallback).
-	StoreCapacity int
-	// Store, when non-nil, is the shared solution store to use —
-	// whole-job results, DSE outcomes and region subproblems can share
-	// one bounded arena. StoreCapacity is ignored in that case.
+	// Store is the shared solution store: whole-job results, DSE
+	// outcomes and region subproblems can share one bounded arena. A nil
+	// Store gets a private default-capacity store wired to Metrics and
+	// Events.
 	Store *solstore.Store
 	// RegionWorkers is the per-solve region concurrency handed to the
 	// facade when a request does not set region_workers.
@@ -159,10 +155,6 @@ type outcome struct {
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) (*Server, error) {
-	if cfg.StoreCapacity < 0 {
-		return nil, fmt.Errorf("serve: store capacity must be >= 0 (got %d); 0 selects the default (%d entries)",
-			cfg.StoreCapacity, solstore.DefaultCapacity)
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
@@ -174,11 +166,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	store := cfg.Store
 	if store == nil {
-		store = solstore.New(solstore.Options{
-			Capacity: cfg.StoreCapacity,
-			Metrics:  cfg.Metrics,
-			Events:   cfg.Events,
-		})
+		store = solstore.New(solstore.Options{Metrics: cfg.Metrics, Events: cfg.Events})
 	}
 	s := &Server{
 		cfg:          cfg,

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	heteropar "repro"
+	"repro/internal/clitelemetry"
 	"repro/internal/obs"
+	"repro/internal/solstore"
 )
 
 // newTestServer builds a server plus an httptest listener; the caller
@@ -398,12 +400,34 @@ func TestRequestValidation(t *testing.T) {
 
 // TestInvalidStoreCapacity checks the daemon-side -store-cap edge
 // semantics: negative capacity is a configuration error, never a
-// silent cache-off.
+// silent cache-off, and 0 builds a default-sized store the daemon
+// really caches in.
 func TestInvalidStoreCapacity(t *testing.T) {
-	if _, err := New(Config{StoreCapacity: -1}); err == nil {
-		t.Fatal("New accepted a negative store capacity")
+	const zeroMeaning = "selects the default sizing"
+	if err := clitelemetry.ValidateStoreCap(-1, zeroMeaning); err == nil {
+		t.Fatal("a negative store capacity was accepted")
 	} else if !strings.Contains(err.Error(), ">= 0") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+	if err := clitelemetry.ValidateStoreCap(0, zeroMeaning); err != nil {
+		t.Fatalf("capacity 0 rejected: %v", err)
+	}
+
+	reg := obs.NewRegistry()
+	store := solstore.New(solstore.Options{Capacity: 0, Metrics: reg})
+	s, ts := newTestServer(t, Config{Workers: 1, Metrics: reg, Store: store})
+	var calls atomic.Int64
+	stubSolve(s, &calls, nil)
+	for i := 0; i < 2; i++ {
+		if status, body := post(t, ts.URL, Request{Bench: "fir_256"}); status != http.StatusOK {
+			t.Fatalf("request %d: status %d body %s", i, status, body)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("solve ran %d times for a repeated request on a capacity-0 store; want 1", got)
+	}
+	if got := reg.Counter("serve.cache.hits").Value(); got != 1 {
+		t.Errorf("serve.cache.hits = %d, want 1", got)
 	}
 }
 
