@@ -45,6 +45,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/clitelemetry"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/serve"
 	"repro/internal/solstore"
@@ -162,16 +163,18 @@ func main() {
 	}
 
 	if *traceFlag != "" || *statsFlag || *verbose || *metricsAddr != "" || *eventsFlag != "" {
-		opts.Observer = heteropar.NewObserver()
+		opts.Tracer = obs.NewTracer()
+		opts.Metrics = obs.NewRegistry()
 	}
-	tele, err := clitelemetry.Start("heteropar", *metricsAddr, *eventsFlag, opts.Observer.M())
+	tele, err := clitelemetry.Start("heteropar", *metricsAddr, *eventsFlag, opts.Metrics)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer tele.Close()
-	opts.EventLog = tele.Events
+	opts.Events = tele.Events
+	opts.Tracer.SetEvents(tele.Events)
 	if *verbose {
-		opts.Observer.Tracer.SetLogger(tele.Out)
+		opts.Tracer.SetLogger(tele.Out)
 	}
 	opts.RegionWorkers = *workersFlag
 	if err := clitelemetry.ValidateStoreCap(*storeCapFlag, "disables the store"); err != nil {
@@ -180,7 +183,7 @@ func main() {
 	if *storeCapFlag > 0 {
 		opts.Store = solstore.New(solstore.Options{
 			Capacity: *storeCapFlag,
-			Metrics:  opts.Observer.M(),
+			Metrics:  opts.Metrics,
 			Events:   tele.Events,
 		})
 	}
@@ -231,10 +234,10 @@ func main() {
 
 	if *statsFlag {
 		renderTelemetry(tele.Out, rep.SolverStatsTable(),
-			resolveStoreStats(opts.Store), opts.Observer.Metrics.RenderTable())
+			resolveStoreStats(opts.Store), opts.Metrics.RenderTable())
 	}
 	if *traceFlag != "" {
-		if err := opts.Observer.Tracer.WriteChromeFile(*traceFlag); err != nil {
+		if err := opts.Tracer.WriteChromeFile(*traceFlag); err != nil {
 			fatalf("trace: %v", err)
 		}
 		fmt.Printf("chrome trace written to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceFlag)

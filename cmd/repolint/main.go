@@ -25,6 +25,11 @@
 //	             right interleaving; keep mutable maps behind a struct
 //	             with a mutex (as internal/solstore does) or waive
 //	             sites that are provably single-goroutine.
+//	stdout     — fmt.Print, fmt.Printf, fmt.Println and os.Stdout.
+//	             Standard output carries the tools' results (the
+//	             `heteropar -json` document), so a library print there
+//	             corrupts them; report through return values, the obs
+//	             sinks or a caller-supplied writer.
 //
 // Sites that are deliberately order-insensitive or wall-clock based (solver
 // deadlines, telemetry timestamps) carry an explicit waiver: a
@@ -158,6 +163,7 @@ var fullRules = map[string]bool{
 	"numcpu":         true,
 	"globalmapwrite": true,
 	"mapfmt":         true,
+	"stdout":         true,
 }
 
 // Run lints the named packages rooted at dir and returns the unwaived
@@ -434,6 +440,8 @@ func (l *linter) lint(path string, rules map[string]bool, honorWaivers bool) ([]
 				found = l.checkAssign(n, info)
 			case *ast.IncDecStmt:
 				found = l.checkMapWrite(n.X, info)
+			case *ast.SelectorExpr:
+				found = l.checkStdout(n, info)
 			}
 			if found != nil && rules != nil && !rules[found.Rule] {
 				found = nil
@@ -521,6 +529,27 @@ func (l *linter) checkCall(call *ast.CallExpr, info *types.Info) *Finding {
 	}
 	return nil
 }
+
+// checkStdout flags the fmt functions that print to standard output and
+// any use of os.Stdout, called or passed on.
+func (l *linter) checkStdout(sel *ast.SelectorExpr, info *types.Info) *Finding {
+	obj := info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return nil
+	}
+	pkg, name := obj.Pkg().Path(), obj.Name()
+	if !(pkg == "fmt" && stdoutPrints[name]) && !(pkg == "os" && name == "Stdout") {
+		return nil
+	}
+	return &Finding{
+		Pos:  l.fset.Position(sel.Pos()),
+		Rule: "stdout",
+		Msg:  fmt.Sprintf("%s.%s writes to standard output, which carries the tools' results; return the data or take a writer", pkg, name),
+	}
+}
+
+// stdoutPrints are the fmt functions that write to standard output.
+var stdoutPrints = map[string]bool{"Print": true, "Printf": true, "Println": true}
 
 // printFamily is the set of fmt functions whose arguments end up rendered
 // with the default formatter.

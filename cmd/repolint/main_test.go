@@ -255,6 +255,32 @@ func Wrap(m map[string]int) error {
 	}
 }
 
+// TestStdoutRule: the fmt functions that print to standard output and
+// any use of os.Stdout are flagged; writes to other writers are not.
+func TestStdoutRule(t *testing.T) {
+	findings := lintSource(t, `package fake
+
+import (
+	"fmt"
+	"os"
+)
+
+func Report(n int) {
+	fmt.Print(n)
+	fmt.Printf("n=%d\n", n)
+	fmt.Println(n)
+	fmt.Fprintln(os.Stdout, n)
+	w := os.Stdout
+	_ = w
+	fmt.Fprintln(os.Stderr, n)
+	_ = fmt.Sprint(n)
+}
+`)
+	if got := rules(findings)["stdout"]; got != 5 {
+		t.Errorf("got %d stdout findings, want 5 (Print, Printf, Println, two os.Stdout):\n%v", got, findings)
+	}
+}
+
 // TestMapFmtWaiver: a waived map print stays legal (e.g. string-keyed maps
 // whose rendering is stable).
 func TestMapFmtWaiver(t *testing.T) {

@@ -25,7 +25,6 @@ package heteropar
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/analysis"
@@ -40,28 +39,6 @@ import (
 	"repro/internal/solstore"
 	"repro/internal/taskspec"
 )
-
-// Observer re-exports the observability bundle (tracer + metrics); see
-// package repro/internal/obs. A nil observer disables all
-// instrumentation at the cost of one pointer test per phase.
-type Observer = obs.Observer
-
-// NewObserver builds a fully enabled observer (tracing and metrics).
-func NewObserver() *Observer {
-	return &Observer{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
-}
-
-// EventLog re-exports the structured JSONL telemetry event log (span
-// open/close, solver incumbents, store evictions, worker stalls); see
-// package repro/internal/obs. A nil log disables event emission.
-type EventLog = obs.EventLog
-
-// NewEventLog builds an event log retaining a bounded in-memory ring
-// of recent events; w (which may be nil) additionally receives every
-// event as one JSON line.
-func NewEventLog(w io.Writer) *EventLog {
-	return obs.NewEventLog(w)
-}
 
 // SolutionStore re-exports the sharded, size-bounded region-solve
 // store (see package repro/internal/solstore): a content-addressed LRU
@@ -154,21 +131,16 @@ type Options struct {
 	// on both scenarios of a platform) skip identical solves. See
 	// NewSolutionStore.
 	Store *SolutionStore
-	// Observer, when non-nil, records phase spans, per-solve solver
-	// telemetry and simulator occupancy for the -trace/-stats tooling.
-	Observer *Observer
-	// Metrics, when non-nil, receives solver/cache/pool metric families
-	// without requiring a full Observer; ignored when Observer already
-	// carries a registry.
+	// Tracer, when non-nil, records phase spans, per-solve solver spans
+	// and simulator occupancy for the -trace tooling. Its spans reach an
+	// event log only when its owner calls Tracer.SetEvents.
+	Tracer *obs.Tracer
+	// Metrics, when non-nil, receives solver/cache/pool metric families.
 	Metrics *obs.Registry
-	// EventLog, when non-nil, receives structured telemetry events
-	// (span open/close, solver incumbents, store evictions, worker
-	// stalls); ignored when Observer already carries an event log.
-	EventLog *EventLog
-	// SkipAudit disables the static race-and-budget audit that otherwise
-	// checks every produced solution against the dependence sets, the
-	// platform core budgets and the cost model (see internal/analysis).
-	SkipAudit bool
+	// Events, when non-nil, receives the solver's structured telemetry
+	// events (one ilp-incumbent per integral improvement). Store
+	// evictions and worker stalls go to the store's own event log.
+	Events *obs.EventLog
 }
 
 // Report is the result of parallelizing one program.
@@ -204,12 +176,12 @@ type Report struct {
 	opts Options
 }
 
-// Parallelize runs the complete tool flow on source. When an Observer
-// is configured, each pipeline phase (compile, profile, HTG build,
-// parallelize with its per-region ILP solves, taskspec, simulate) is
-// wrapped in a tracing span, solver telemetry flows into the metrics
-// registry, and the simulated schedule is exported as per-core
-// occupancy tracks.
+// Parallelize runs the complete tool flow on source. The telemetry
+// sinks in opts go straight to the pipeline: each phase (compile,
+// profile, HTG build, parallelize with its per-region ILP solves,
+// taskspec, simulate) is a span on opts.Tracer, which also receives the
+// simulated schedule as per-core occupancy tracks; solver telemetry
+// flows into opts.Metrics and opts.Events.
 func Parallelize(source string, opts Options) (*Report, error) {
 	if opts.Platform == nil {
 		opts.Platform = PlatformA()
@@ -217,21 +189,7 @@ func Parallelize(source string, opts Options) (*Report, error) {
 	if err := opts.Platform.Validate(); err != nil {
 		return nil, err
 	}
-	tr := opts.Observer.T()
-	// Resolve the effective telemetry sinks: an Observer's own registry
-	// and event log win; the standalone Options fields cover callers
-	// that only want metrics or events without tracing.
-	metrics := opts.Observer.M()
-	if metrics == nil {
-		metrics = opts.Metrics
-	}
-	events := opts.Observer.E()
-	if events == nil {
-		events = opts.EventLog
-	}
-	if events != nil {
-		tr.SetEvents(events)
-	}
+	tr := opts.Tracer
 	flow := tr.Start("parallelize-flow",
 		obs.String("platform", opts.Platform.Name),
 		obs.String("approach", opts.Approach.String()))
@@ -265,11 +223,9 @@ func Parallelize(source string, opts Options) (*Report, error) {
 		RegionWorkers:    opts.RegionWorkers,
 		Store:            opts.Store,
 		Tracer:           tr,
-		Metrics:          metrics,
-		Events:           events,
-	}
-	if !opts.SkipAudit {
-		cfg.Audit = analysis.AuditResult
+		Metrics:          opts.Metrics,
+		Events:           opts.Events,
+		Audit:            analysis.AuditResult,
 	}
 	span = tr.Start("parallelize", obs.Int("main_class", mainClass))
 	res, err := core.Parallelize(g, opts.Platform, mainClass, opts.Approach, cfg)

@@ -32,7 +32,7 @@ type Telemetry struct {
 
 	// Events is the structured event log, non-nil whenever any sink
 	// (file or server ring) wants events. Hand it to the pipeline via
-	// Options.EventLog / Observer.Events.
+	// heteropar.Options.Events or dse.Engine.Obs.
 	Events *obs.EventLog
 
 	server    *obs.Server

@@ -10,9 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// debugILP enables solve tracing in tests.
-var debugILP = false
-
 // solveMeta identifies one region solve for telemetry.
 type solveMeta struct {
 	region string // HTG node label of the region
@@ -524,9 +521,9 @@ func (p *Parallelizer) solve(m *ilp.Model, meta solveMeta) *ilp.Result {
 
 // solveWithIncumbent additionally seeds the search with a known feasible
 // assignment (ignored when nil or infeasible). Every solve is recorded
-// as a SolveRecord; when a tracer or metrics registry is configured it
-// also emits a span and feeds the solver's progress hook into the
-// registry.
+// as a SolveRecord; a configured tracer gets a span, a registry the
+// solver counters, and the solver's incumbent hook feeds the registry
+// and the event log.
 func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, meta solveMeta) *ilp.Result {
 	span := p.cfg.Tracer.Start("ilp-solve",
 		obs.String("region", meta.region),
@@ -546,23 +543,15 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 	}
 	if reg, elog := p.cfg.Metrics, p.cfg.Events; reg != nil || elog != nil {
 		opt.Progress = func(ev ilp.ProgressEvent) {
-			switch ev.Kind {
-			case ilp.EventIncumbent:
-				reg.Counter("ilp.incumbents").Inc()
-				reg.Gauge("ilp.incumbent.obj").Set(ev.Obj)
-				reg.Gauge("ilp.gap.last").Set(ev.Gap)
-				elog.Emit("ilp-incumbent", meta.region, map[string]any{
-					"model": meta.model,
-					"obj":   ev.Obj,
-					"gap":   ev.Gap,
-					"nodes": ev.Nodes,
-				})
-			case ilp.EventDone:
-				reg.Counter("ilp.bb_nodes").Add(int64(ev.Nodes))
-				reg.Counter("ilp.lp_iters").Add(int64(ev.LPIters))
-				reg.Gauge("ilp.gap.max").Max(ev.Gap)
-				reg.Gauge("ilp.gap.last").Set(ev.Gap)
-			}
+			reg.Counter("ilp.incumbents").Inc()
+			reg.Gauge("ilp.incumbent.obj").Set(ev.Obj)
+			reg.Gauge("ilp.gap.last").Set(ev.Gap)
+			elog.Emit("ilp-incumbent", meta.region, map[string]any{
+				"model": meta.model,
+				"obj":   ev.Obj,
+				"gap":   ev.Gap,
+				"nodes": ev.Nodes,
+			})
 		}
 	}
 	res := ilp.Solve(m, opt)
@@ -588,6 +577,10 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 	})
 	if reg := p.cfg.Metrics; reg != nil {
 		reg.Counter("ilp.solves").Inc()
+		reg.Counter("ilp.bb_nodes").Add(int64(res.Nodes))
+		reg.Counter("ilp.lp_iters").Add(int64(res.LPIters))
+		reg.Gauge("ilp.gap.max").Max(res.Gap)
+		reg.Gauge("ilp.gap.last").Set(res.Gap)
 		reg.Histogram("ilp.solve_time").Observe(dur)
 		reg.Counter("ilp.cuts").Add(int64(res.Cuts))
 		reg.Counter("ilp.warm_starts").Add(int64(res.WarmStarts))
@@ -607,10 +600,6 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		obs.Bool("timed_out", res.TimedOut),
 		obs.Bool("node_capped", res.NodeCapped))
 	span.End()
-	if debugILP {
-		fmt.Printf("ILP: status=%v obj=%.0f nodes=%d gap=%.3f vars=%d cons=%d\n",
-			res.Status, res.Obj, res.Nodes, res.Gap, m.NumVars(), m.NumCons())
-	}
 	if res.Status != ilp.StatusOptimal && res.Status != ilp.StatusFeasible {
 		return nil
 	}

@@ -77,13 +77,13 @@ type Config struct {
 	// Tracer, when non-nil, receives one span per ILP solve (region,
 	// model shape, solver outcome attributes).
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, is fed solver telemetry via the branch-and-
-	// bound progress hook: B&B nodes, LP iterations, incumbent updates,
-	// gaps, timeout and node-cap hits, and solve durations.
+	// Metrics, when non-nil, receives solver telemetry: B&B nodes, LP
+	// iterations, incumbent updates, gaps, timeout and node-cap hits, and
+	// solve durations.
 	Metrics *obs.Registry
-	// Events, when non-nil, receives structured telemetry events
-	// (solver incumbents, region-store evictions, worker stalls) as
-	// JSONL-ready records.
+	// Events, when non-nil, receives the solver's incumbent events as
+	// JSONL-ready records (region-store evictions and worker stalls go
+	// to the store's own event log).
 	Events *obs.EventLog
 	// Audit, when non-nil, receives the finished Result before Parallelize
 	// returns; a non-nil error fails the whole run with it. The analysis
@@ -446,6 +446,3 @@ func (p *Parallelizer) taskBound() int {
 	}
 	return n
 }
-
-// DebugILP toggles per-ILP solve tracing (tests only).
-func DebugILP(on bool) { debugILP = on }

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"math"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Region-solve caching: every region ILP is identified by a canonical
@@ -235,18 +237,20 @@ type regionUnit struct {
 	recs  []SolveRecord
 }
 
-// execute runs the unit on a private sub-parallelizer and captures its
-// solutions and records for the ordered merge.
-func (u *regionUnit) execute(parent *Parallelizer) {
+// execute runs the unit on a private sub-parallelizer that traces to
+// tr and captures its solutions and records for the ordered merge.
+func (u *regionUnit) execute(parent *Parallelizer, tr *obs.Tracer) {
 	sub := parent.scratchWithStore()
+	sub.cfg.Tracer = tr
 	u.sols = u.run(sub)
 	u.recs = sub.stats.Solves
 }
 
 // runUnits executes units sequentially or on a bounded worker pool of
-// cfg.RegionWorkers goroutines. Either way the units' results are
-// only read after all of them complete, and the caller merges them in
-// unit order, so scheduling cannot influence any output.
+// cfg.RegionWorkers goroutines, each tracing to its own worker track.
+// Either way the units' results are only read after all of them
+// complete, and the caller merges them in unit order, so scheduling
+// cannot influence any output.
 func (p *Parallelizer) runUnits(units []*regionUnit) {
 	m := p.cfg.Metrics
 	m.Counter("core.region_pool.units").Add(int64(len(units)))
@@ -256,7 +260,7 @@ func (p *Parallelizer) runUnits(units []*regionUnit) {
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			u.execute(p)
+			u.execute(p, p.cfg.Tracer)
 		}
 		return
 	}
@@ -269,11 +273,12 @@ func (p *Parallelizer) runUnits(units []*regionUnit) {
 	ch := make(chan *regionUnit)
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
+		tr := p.cfg.Tracer.Worker(w)
 		go func() {
 			for u := range ch {
 				queueDepth.Add(-1)
 				busy.Add(1)
-				u.execute(p)
+				u.execute(p, tr)
 				busy.Add(-1)
 			}
 			done <- struct{}{}

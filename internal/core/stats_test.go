@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -83,7 +84,8 @@ func TestSolveRecordsPopulated(t *testing.T) {
 }
 
 // TestObsWiredThroughSolves checks that a configured tracer/registry
-// sees one span per ILP solve and consistent solver telemetry.
+// sees one span per ILP solve and solver telemetry consistent with the
+// solve records.
 func TestObsWiredThroughSolves(t *testing.T) {
 	g := statsGraph(t)
 	pf := platform.ConfigA()
@@ -110,5 +112,12 @@ func TestObsWiredThroughSolves(t *testing.T) {
 	}
 	if got := reg.Histogram("ilp.solve_time").Count(); got != int64(res.Stats.NumILPs) {
 		t.Errorf("solve_time observations = %d, want %d", got, res.Stats.NumILPs)
+	}
+	maxGap := 0.0
+	for _, rec := range res.Stats.Solves {
+		maxGap = math.Max(maxGap, rec.Gap)
+	}
+	if got := reg.Gauge("ilp.gap.max").Value(); got != maxGap {
+		t.Errorf("ilp.gap.max gauge = %g, want the largest record gap %g", got, maxGap)
 	}
 }

@@ -264,11 +264,17 @@ func (e *Engine) Run(ctx context.Context, points []Point, workloads []*Workload)
 		m.Gauge("dse.cache.hit_ratio").Set(float64(h) / float64(h+liveMisses.Load()))
 	}
 	for w := 0; w < workers; w++ {
+		// Concurrent dse-point spans would interleave on one track, so
+		// each worker of a pool traces to its own.
+		tr := e.Obs.T()
+		if workers > 1 {
+			tr = tr.Worker(w)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ji := range jobCh {
-				out, kind, err := e.evaluate(jobs[ji], store)
+				out, kind, err := e.evaluate(jobs[ji], store, tr)
 				if err != nil {
 					errOnce.Do(func() { firstEr = err })
 					continue
@@ -369,7 +375,8 @@ feed:
 // CacheDir, and otherwise computes it: ILP parallelization,
 // simulation, and the GA baseline with its quality gap. A computed
 // Outcome is stored and persisted; a disk hit is promoted to the store.
-func (e *Engine) evaluate(j job, store *solstore.Store) (Outcome, recall, error) {
+// The computation's span goes to tr.
+func (e *Engine) evaluate(j job, store *solstore.Store, tr *obs.Tracer) (Outcome, recall, error) {
 	if v, ok := store.Get(dseKeyPrefix + j.key); ok {
 		return v.(Outcome), fromStore, nil
 	}
@@ -378,7 +385,7 @@ func (e *Engine) evaluate(j job, store *solstore.Store) (Outcome, recall, error)
 		return out, fromDisk, nil
 	}
 	pt, w, mainClass := j.pt, j.w, j.mainClass
-	span := e.Obs.T().Start("dse-point",
+	span := tr.Start("dse-point",
 		obs.String("point", pt.ID), obs.String("bench", w.Name))
 	defer span.End()
 	start := time.Now() //repolint:allow timenow (row-duration telemetry only)

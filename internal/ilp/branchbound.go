@@ -36,20 +36,9 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// ProgressKind labels a solver progress event.
-type ProgressKind int
-
-// Progress event kinds.
-const (
-	// EventIncumbent fires when the search finds a new best integral point.
-	EventIncumbent ProgressKind = iota
-	// EventDone fires exactly once, after the search finishes.
-	EventDone
-)
-
-// ProgressEvent is one solver milestone reported to Options.Progress.
+// ProgressEvent is one incumbent improvement reported to
+// Options.Progress.
 type ProgressEvent struct {
-	Kind ProgressKind
 	// Nodes and LPIters are the exploration counters at event time.
 	Nodes   int
 	LPIters int
@@ -76,10 +65,10 @@ type Options struct {
 	// DisableWarmStart forces every node relaxation to solve from
 	// scratch (benchmark baseline; warm starts are on by default).
 	DisableWarmStart bool
-	// Progress, when non-nil, receives one event per incumbent improvement
-	// and a final summary event. The hook runs inline on the solve loop and
-	// must be cheap; a nil hook costs a single pointer test (nothing is
-	// allocated on the hot path).
+	// Progress, when non-nil, receives one event per incumbent
+	// improvement. The hook runs inline on the solve loop and must be
+	// cheap; a nil hook costs a single pointer test (nothing is allocated
+	// on the hot path).
 	Progress func(ProgressEvent)
 }
 
@@ -163,29 +152,12 @@ func mix64(v uint64) uint64 {
 	return v ^ (v >> 31)
 }
 
-// Solve minimizes the model's objective subject to its constraints, bounds
-// and integrality requirements.
-func Solve(mod *Model, opt Options) Result {
-	res := solve(mod, opt)
-	if opt.Progress != nil {
-		opt.Progress(ProgressEvent{
-			Kind:    EventDone,
-			Nodes:   res.Nodes,
-			LPIters: res.LPIters,
-			Obj:     res.Obj,
-			Gap:     res.Gap,
-		})
-	}
-	return res
-}
-
 // noteIncumbent records an integral improvement and fires the progress
 // hook when one is installed.
 func noteIncumbent(opt *Options, res *Result) {
 	res.Incumbents++
 	if opt.Progress != nil {
 		opt.Progress(ProgressEvent{
-			Kind:    EventIncumbent,
 			Nodes:   res.Nodes,
 			LPIters: res.LPIters,
 			Obj:     res.Obj,
@@ -265,7 +237,9 @@ func (sc *searcher) solveNode(nd *bbNode, cutoff float64) nodeLP {
 	return out
 }
 
-func solve(mod *Model, opt Options) Result {
+// Solve minimizes the model's objective subject to its constraints, bounds
+// and integrality requirements.
+func Solve(mod *Model, opt Options) Result {
 	if err := mod.Validate(); err != nil {
 		return Result{Status: StatusInfeasible}
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -37,8 +38,9 @@ type chromeTrace struct {
 
 // WriteChrome exports the recorded spans and occupancy slices as Chrome
 // trace_event JSON. Pipeline spans become duration begin/end ('B'/'E')
-// events on one track; simulator slices become complete ('X') events,
-// one track per core (virtual nanoseconds mapped to microsecond
+// events on the track of the tracer view that recorded them (the main
+// track, or a Worker track); simulator slices become complete ('X')
+// events, one track per core (virtual nanoseconds mapped to microsecond
 // timestamps). Safe on a nil tracer (writes an empty trace).
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	trace := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ns"}
@@ -49,9 +51,30 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		open := t.open
 		t.mu.Unlock()
 
+		// stacks holds each track's open spans; its keys name the tracks.
+		stacks := map[int][]string{mainTID: nil}
+		for _, ev := range events {
+			switch ev.ph {
+			case 'B':
+				stacks[ev.tid] = append(stacks[ev.tid], ev.name)
+			case 'E':
+				if st := stacks[ev.tid]; len(st) > 0 {
+					stacks[ev.tid] = st[:len(st)-1]
+				}
+			}
+		}
+		tids := make([]int, 0, len(stacks))
+		for tid := range stacks {
+			tids = append(tids, tid)
+		}
+		sort.Ints(tids)
 		trace.TraceEvents = append(trace.TraceEvents,
 			metaEvent("process_name", pipelinePID, 0, "heteropar pipeline"),
-			metaEvent("thread_name", pipelinePID, 1, "tool flow"))
+			metaEvent("thread_name", pipelinePID, mainTID, "tool flow"))
+		for _, tid := range tids[1:] {
+			trace.TraceEvents = append(trace.TraceEvents,
+				metaEvent("thread_name", pipelinePID, tid, fmt.Sprintf("worker %d", tid-mainTID-1)))
+		}
 		for _, ev := range events {
 			ce := chromeEvent{
 				Name: ev.name,
@@ -59,7 +82,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				Ph:   string(ev.ph),
 				TS:   float64(ev.ts.Nanoseconds()) / 1e3,
 				PID:  pipelinePID,
-				TID:  1,
+				TID:  ev.tid,
 			}
 			if len(ev.attrs) > 0 {
 				ce.Args = make(map[string]any, len(ev.attrs))
@@ -72,32 +95,24 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		// Close any still-open spans at the last recorded timestamp so
 		// the exported file stays balanced even mid-flow.
 		if open > 0 && len(events) > 0 {
-			var stack []string
-			for _, ev := range events {
-				switch ev.ph {
-				case 'B':
-					stack = append(stack, ev.name)
-				case 'E':
-					if len(stack) > 0 {
-						stack = stack[:len(stack)-1]
-					}
-				}
-			}
 			last := float64(events[len(events)-1].ts.Nanoseconds()) / 1e3
-			for i := len(stack) - 1; i >= 0; i-- {
-				trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-					Name: stack[i], Cat: "pipeline", Ph: "E",
-					TS: last, PID: pipelinePID, TID: 1,
-				})
+			for _, tid := range tids {
+				stack := stacks[tid]
+				for i := len(stack) - 1; i >= 0; i-- {
+					trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
+						Name: stack[i], Cat: "pipeline", Ph: "E",
+						TS: last, PID: pipelinePID, TID: tid,
+					})
+				}
 			}
 		}
 
 		if len(slices) > 0 {
-			tids := map[string]int{}
+			trackTIDs := map[string]int{}
 			var tracks []string
 			for _, s := range slices {
-				if _, ok := tids[s.track]; !ok {
-					tids[s.track] = 0
+				if _, ok := trackTIDs[s.track]; !ok {
+					trackTIDs[s.track] = 0
 					tracks = append(tracks, s.track)
 				}
 			}
@@ -105,7 +120,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			trace.TraceEvents = append(trace.TraceEvents,
 				metaEvent("process_name", simPID, 0, "mpsoc simulator (virtual time)"))
 			for i, name := range tracks {
-				tids[name] = i + 1
+				trackTIDs[name] = i + 1
 				trace.TraceEvents = append(trace.TraceEvents,
 					metaEvent("thread_name", simPID, i+1, name))
 			}
@@ -117,7 +132,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 					TS:   s.startNs / 1e3,
 					Dur:  (s.endNs - s.startNs) / 1e3,
 					PID:  simPID,
-					TID:  tids[s.track],
+					TID:  trackTIDs[s.track],
 				})
 			}
 		}

@@ -336,7 +336,6 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
 }
 
@@ -347,7 +346,6 @@ func NewRegistry() *Registry {
 		gauges:      map[string]*Gauge{},
 		hists:       map[string]*Histogram{},
 		counterVecs: map[string]*CounterVec{},
-		gaugeVecs:   map[string]*GaugeVec{},
 		histVecs:    map[string]*HistogramVec{},
 	}
 }
@@ -430,23 +428,18 @@ func (r *Registry) RenderTable() string {
 	}
 	for _, n := range sortedKeys(r.counterVecs) {
 		for _, ch := range r.counterVecs[n].children() {
-			counterRows = append(counterRows, row{ch.display, fmt.Sprintf("%14d", ch.counter.Value())})
+			counterRows = append(counterRows, row{ch.display, fmt.Sprintf("%14d", ch.metric.Value())})
 		}
 	}
 	for _, n := range sortedKeys(r.gauges) {
 		gaugeRows = append(gaugeRows, row{n, fmt.Sprintf("%14.4g", r.gauges[n].Value())})
-	}
-	for _, n := range sortedKeys(r.gaugeVecs) {
-		for _, ch := range r.gaugeVecs[n].children() {
-			gaugeRows = append(gaugeRows, row{ch.display, fmt.Sprintf("%14.4g", ch.gauge.Value())})
-		}
 	}
 	for _, n := range sortedKeys(r.hists) {
 		histRows = append(histRows, row{n, histLine(r.hists[n])})
 	}
 	for _, n := range sortedKeys(r.histVecs) {
 		for _, ch := range r.histVecs[n].children() {
-			histRows = append(histRows, row{ch.display, histLine(ch.hist)})
+			histRows = append(histRows, row{ch.display, histLine(ch.metric)})
 		}
 	}
 	r.mu.Unlock()

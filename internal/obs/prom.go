@@ -137,7 +137,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		labels := v.LabelNames()
 		fams = append(fams, promFamily{name, "counter", func(w io.Writer) {
 			for _, ch := range children {
-				fmt.Fprintf(w, "%s%s %d\n", name, promLabels(labels, ch.values), ch.counter.Value())
+				fmt.Fprintf(w, "%s%s %d\n", name, promLabels(labels, ch.values), ch.metric.Value())
 			}
 		}})
 	}
@@ -145,16 +145,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		name, g := PromName(n), r.gauges[n]
 		fams = append(fams, promFamily{name, "gauge", func(w io.Writer) {
 			fmt.Fprintf(w, "%s %s\n", name, promFloat(g.Value()))
-		}})
-	}
-	for _, n := range sortedKeys(r.gaugeVecs) {
-		v := r.gaugeVecs[n]
-		name, children := PromName(n), v.children()
-		labels := v.LabelNames()
-		fams = append(fams, promFamily{name, "gauge", func(w io.Writer) {
-			for _, ch := range children {
-				fmt.Fprintf(w, "%s%s %s\n", name, promLabels(labels, ch.values), promFloat(ch.gauge.Value()))
-			}
 		}})
 	}
 	for _, n := range sortedKeys(r.hists) {
@@ -169,7 +159,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		labels := v.LabelNames()
 		fams = append(fams, promFamily{name, "histogram", func(w io.Writer) {
 			for _, ch := range children {
-				promHist(w, name, labels, ch.values, ch.hist)
+				promHist(w, name, labels, ch.values, ch.metric)
 			}
 		}})
 	}

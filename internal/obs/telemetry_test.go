@@ -23,7 +23,6 @@ func TestNilReceiverNoOpParity(t *testing.T) {
 		h  *Histogram
 		r  *Registry
 		cv *CounterVec
-		gv *GaugeVec
 		hv *HistogramVec
 		tr *Tracer
 		sp *Span
@@ -55,14 +54,11 @@ func TestNilReceiverNoOpParity(t *testing.T) {
 		{"Registry.Gauge", func() { _ = r.Gauge("x") }},
 		{"Registry.Histogram", func() { _ = r.Histogram("x") }},
 		{"Registry.CounterVec", func() { _ = r.CounterVec("x", "l") }},
-		{"Registry.GaugeVec", func() { _ = r.GaugeVec("x", "l") }},
 		{"Registry.HistogramVec", func() { _ = r.HistogramVec("x", "l") }},
 		{"Registry.RenderTable", func() { _ = r.RenderTable() }},
 		{"Registry.WritePrometheus", func() { _ = r.WritePrometheus(io.Discard) }},
 		{"CounterVec.With", func() { _ = cv.With("v").Value() }},
 		{"CounterVec.LabelNames", func() { _ = cv.LabelNames() }},
-		{"GaugeVec.With", func() { _ = gv.With("v").Value() }},
-		{"GaugeVec.LabelNames", func() { _ = gv.LabelNames() }},
 		{"HistogramVec.With", func() { hv.With("v").Observe(time.Second) }},
 		{"HistogramVec.LabelNames", func() { _ = hv.LabelNames() }},
 		{"Tracer.Start/Span.End", func() { s := tr.Start("x"); s.SetAttr(Int("n", 1)); _ = s.End() }},
@@ -179,11 +175,10 @@ func TestSnapshotWhileObserve(t *testing.T) {
 }
 
 // TestVecConcurrentWith exercises concurrent child creation and lookup
-// across the three vec kinds (the -race coverage for the label table).
+// across the vec kinds (the -race coverage for the label table).
 func TestVecConcurrentWith(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("t.counts", "model", "source")
-	gv := r.GaugeVec("t.gauges", "model")
 	hv := r.HistogramVec("t.hists", "model")
 	models := [...]string{"tasks", "chunks", "pipeline"}
 	var wg sync.WaitGroup
@@ -194,7 +189,6 @@ func TestVecConcurrentWith(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				m := models[(w+i)%len(models)]
 				cv.With(m, "computed").Inc()
-				gv.With(m).Add(1)
 				hv.With(m).Observe(time.Duration(i) * time.Microsecond)
 				if i%50 == 0 {
 					_ = r.RenderTable()

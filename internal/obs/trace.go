@@ -41,9 +41,10 @@ func Dur(k string, v time.Duration) Attr {
 
 // event is one recorded begin/end marker. Events are appended under the
 // tracer lock at Start and End time, so the recorded order is exactly
-// the (properly nested) execution order.
+// the execution order, properly nested on each track.
 type event struct {
 	ph    byte // 'B' or 'E'
+	tid   int  // Chrome track the span belongs to
 	name  string
 	ts    time.Duration // offset from the tracer epoch
 	attrs []Attr
@@ -58,7 +59,15 @@ type slice struct {
 
 // Tracer records phase spans and synthesized occupancy slices. Create
 // one with NewTracer; a nil *Tracer is a valid, free, disabled tracer.
+// A Tracer is one view of a shared recording: its spans land on its own
+// Chrome track (see Worker).
 type Tracer struct {
+	*recording
+	tid int
+}
+
+// recording is the state every view of one trace shares.
+type recording struct {
 	mu     sync.Mutex
 	epoch  time.Time
 	events []event
@@ -68,8 +77,24 @@ type Tracer struct {
 	open   int
 }
 
+// mainTID is the Chrome track of NewTracer's own spans.
+const mainTID = 1
+
 // NewTracer creates an enabled tracer.
-func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
+func NewTracer() *Tracer {
+	return &Tracer{recording: &recording{epoch: time.Now()}, tid: mainTID}
+}
+
+// Worker returns a view of the tracer whose spans go to worker w's own
+// Chrome track (tid w+2). Spans must nest per track, so each goroutine
+// of a worker pool records through its own view; the view shares the
+// trace, logger and event log. Safe on nil.
+func (t *Tracer) Worker(w int) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{recording: t.recording, tid: w + mainTID + 1}
+}
 
 // SetLogger makes the tracer additionally print one line per finished
 // span to w (the CLI's -v mode). Safe on nil.
@@ -102,8 +127,9 @@ type Span struct {
 	idx   int // index of the 'B' event, for attribute backfill
 }
 
-// Start opens a span. End it with (*Span).End; spans must nest
-// (LIFO order) for the Chrome export to render a sensible flame view.
+// Start opens a span. End it with (*Span).End; spans on one track must
+// nest (LIFO order) for the Chrome export to render a sensible flame
+// view.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
@@ -111,7 +137,7 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	now := time.Now()
 	t.mu.Lock()
 	idx := len(t.events)
-	t.events = append(t.events, event{ph: 'B', name: name, ts: now.Sub(t.epoch), attrs: attrs})
+	t.events = append(t.events, event{ph: 'B', tid: t.tid, name: name, ts: now.Sub(t.epoch), attrs: attrs})
 	t.open++
 	elog := t.elog
 	t.mu.Unlock()
@@ -139,7 +165,7 @@ func (s *Span) End() time.Duration {
 	now := time.Now()
 	d := now.Sub(s.start)
 	s.t.mu.Lock()
-	s.t.events = append(s.t.events, event{ph: 'E', name: s.name, ts: now.Sub(s.t.epoch)})
+	s.t.events = append(s.t.events, event{ph: 'E', tid: s.t.tid, name: s.name, ts: now.Sub(s.t.epoch)})
 	s.t.open--
 	logw := s.t.logw
 	elog := s.t.elog

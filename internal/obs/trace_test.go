@@ -94,7 +94,8 @@ func TestChromeExportBalanced(t *testing.T) {
 		sp.End()
 	}
 	root.End()
-	open := tr.Start("simulate") // deliberately left open
+	_ = tr.Worker(0).Start("ilp-solve") // left open on a worker track
+	open := tr.Start("simulate")        // deliberately left open
 	_ = open
 	tr.Slice("core0 ARM-100", "task", 0, 1500)
 	tr.Slice("core1 ARM-250", "chunk", 200, 900)
@@ -150,8 +151,11 @@ func TestChromeExportBalanced(t *testing.T) {
 		}
 		lastTS[k] = ev.TS
 	}
-	if begins != 5 || ends != 5 {
-		t.Errorf("begin/end events = %d/%d, want 5/5 (open span must be auto-closed)", begins, ends)
+	if begins != 6 || ends != 6 {
+		t.Errorf("begin/end events = %d/%d, want 6/6 (open spans must be auto-closed)", begins, ends)
+	}
+	if _, ok := depth[track{1, 2}]; !ok {
+		t.Errorf("worker 0 span not on its own track (tid 2): tracks %v", depth)
 	}
 	for k, d := range depth {
 		if d != 0 {

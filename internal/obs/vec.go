@@ -6,29 +6,35 @@ import (
 	"sync"
 )
 
-// Labeled metric families: a CounterVec / GaugeVec / HistogramVec is
-// one named family whose children are addressed by a small set of
-// label values. Label names are canonicalized to sorted order at
-// family creation (the "sorted-label-set key"), so two call sites
-// declaring the same labels in different orders address the same
-// children. Like every obs type, all methods are safe on a nil
-// receiver and from concurrent goroutines.
+// Labeled metric families: a CounterVec / HistogramVec is one named
+// family whose children are addressed by a small set of label values.
+// Label names are canonicalized to sorted order at family creation (the
+// "sorted-label-set key"), so two call sites declaring the same labels
+// in different orders address the same children. Like every obs type,
+// all methods are safe on a nil receiver and from concurrent goroutines.
 
-// vecCore is the shared child table of the three vec kinds.
-type vecCore struct {
+// family is the child table shared by every labeled metric kind; M is
+// the child metric type, whose zero value must be ready to use.
+type family[M any] struct {
 	name string
 	// names are the label names in sorted order; perm maps a declared
 	// argument position to its slot in the sorted order.
 	names []string
 	perm  []int
 
-	mu   sync.RWMutex
-	vals map[string][]string // child key -> sorted label values
+	mu       sync.RWMutex
+	childMap map[string]*M
+	vals     map[string][]string // child key -> sorted label values
 }
 
-// init canonicalizes the declared label names in place (in place so
-// the embedded mutex is never copied).
-func (c *vecCore) init(name string, labelNames []string) {
+// CounterVec is a labeled counter family.
+type CounterVec = family[Counter]
+
+// HistogramVec is a labeled histogram family.
+type HistogramVec = family[Histogram]
+
+// newFamily canonicalizes the declared label names.
+func newFamily[M any](name string, labelNames []string) *family[M] {
 	type slot struct {
 		name string
 		pos  int
@@ -38,14 +44,18 @@ func (c *vecCore) init(name string, labelNames []string) {
 		slots[i] = slot{n, i}
 	}
 	sort.SliceStable(slots, func(i, j int) bool { return slots[i].name < slots[j].name })
-	c.name = name
-	c.names = make([]string, len(slots))
-	c.perm = make([]int, len(slots))
-	c.vals = map[string][]string{}
-	for sortedPos, s := range slots {
-		c.names[sortedPos] = s.name
-		c.perm[s.pos] = sortedPos
+	f := &family[M]{
+		name:     name,
+		names:    make([]string, len(slots)),
+		perm:     make([]int, len(slots)),
+		childMap: map[string]*M{},
+		vals:     map[string][]string{},
 	}
+	for sortedPos, s := range slots {
+		f.names[sortedPos] = s.name
+		f.perm[s.pos] = sortedPos
+	}
+	return f
 }
 
 // childKeySep separates label values inside a child key; it cannot
@@ -56,31 +66,56 @@ const childKeySep = "\x1f"
 // and joins them. Missing values read as ""; extras are dropped, so a
 // mismatched call never panics (telemetry must not take the pipeline
 // down).
-func (c *vecCore) childKey(values []string) (string, []string) {
-	sorted := make([]string, len(c.names))
+func (f *family[M]) childKey(values []string) (string, []string) {
+	sorted := make([]string, len(f.names))
 	for i, v := range values {
-		if i >= len(c.perm) {
+		if i >= len(f.perm) {
 			break
 		}
-		sorted[c.perm[i]] = v
+		sorted[f.perm[i]] = v
 	}
 	return strings.Join(sorted, childKeySep), sorted
 }
 
-// LabelNames returns the family's label names in canonical (sorted)
-// order.
-func (c *vecCore) labelNames() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
+// With returns (creating on first use) the child metric for the label
+// values, given in the family's declared label order.
+func (f *family[M]) With(values ...string) *M {
+	if f == nil {
+		return nil
+	}
+	key, sorted := f.childKey(values)
+	f.mu.RLock()
+	m := f.childMap[key]
+	f.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m = f.childMap[key]; m == nil {
+		m = new(M)
+		f.childMap[key] = m
+		f.vals[key] = sorted
+	}
+	return m
+}
+
+// LabelNames returns the canonical (sorted) label names.
+func (f *family[M]) LabelNames() []string {
+	if f == nil {
+		return nil
+	}
+	out := make([]string, len(f.names))
+	copy(out, f.names)
 	return out
 }
 
-// display renders "name{a="x",b="y"}" for tables.
-func (c *vecCore) displayName(sortedVals []string) string {
+// displayName renders "name{a="x",b="y"}" for tables.
+func (f *family[M]) displayName(sortedVals []string) string {
 	var sb strings.Builder
-	sb.WriteString(c.name)
+	sb.WriteString(f.name)
 	sb.WriteByte('{')
-	for i, n := range c.names {
+	for i, n := range f.names {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
@@ -93,184 +128,22 @@ func (c *vecCore) displayName(sortedVals []string) string {
 	return sb.String()
 }
 
-// sortedChildKeys returns the child keys in deterministic order;
-// caller must hold (at least) the read lock.
-func (c *vecCore) sortedChildKeys() []string {
-	keys := make([]string, 0, len(c.vals))
-	for k := range c.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct {
-	vecCore
-	childMap map[string]*Counter
-}
-
-// With returns (creating on first use) the child counter for the label
-// values, given in the family's declared label order.
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	key, sorted := v.childKey(values)
-	v.mu.RLock()
-	c := v.childMap[key]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.childMap[key]; c == nil {
-		c = &Counter{}
-		v.childMap[key] = c
-		v.vals[key] = sorted
-	}
-	return c
-}
-
-// LabelNames returns the canonical (sorted) label names.
-func (v *CounterVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labelNames()
-}
-
-type counterChild struct {
+type child[M any] struct {
 	display string
 	values  []string
-	counter *Counter
+	metric  *M
 }
 
 // children snapshots the family in deterministic label order.
-func (v *CounterVec) children() []counterChild {
-	if v == nil {
+func (f *family[M]) children() []child[M] {
+	if f == nil {
 		return nil
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]counterChild, 0, len(v.childMap))
-	for _, k := range v.sortedChildKeys() {
-		out = append(out, counterChild{v.displayName(v.vals[k]), v.vals[k], v.childMap[k]})
-	}
-	return out
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct {
-	vecCore
-	childMap map[string]*Gauge
-}
-
-// With returns (creating on first use) the child gauge for the label
-// values, given in the family's declared label order.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key, sorted := v.childKey(values)
-	v.mu.RLock()
-	g := v.childMap[key]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.childMap[key]; g == nil {
-		g = &Gauge{}
-		v.childMap[key] = g
-		v.vals[key] = sorted
-	}
-	return g
-}
-
-// LabelNames returns the canonical (sorted) label names.
-func (v *GaugeVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labelNames()
-}
-
-type gaugeChild struct {
-	display string
-	values  []string
-	gauge   *Gauge
-}
-
-// children snapshots the family in deterministic label order.
-func (v *GaugeVec) children() []gaugeChild {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]gaugeChild, 0, len(v.childMap))
-	for _, k := range v.sortedChildKeys() {
-		out = append(out, gaugeChild{v.displayName(v.vals[k]), v.vals[k], v.childMap[k]})
-	}
-	return out
-}
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct {
-	vecCore
-	childMap map[string]*Histogram
-}
-
-// With returns (creating on first use) the child histogram for the
-// label values, given in the family's declared label order.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	key, sorted := v.childKey(values)
-	v.mu.RLock()
-	h := v.childMap[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.childMap[key]; h == nil {
-		h = &Histogram{}
-		v.childMap[key] = h
-		v.vals[key] = sorted
-	}
-	return h
-}
-
-// LabelNames returns the canonical (sorted) label names.
-func (v *HistogramVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return v.labelNames()
-}
-
-type histChild struct {
-	display string
-	values  []string
-	hist    *Histogram
-}
-
-// children snapshots the family in deterministic label order.
-func (v *HistogramVec) children() []histChild {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]histChild, 0, len(v.childMap))
-	for _, k := range v.sortedChildKeys() {
-		out = append(out, histChild{v.displayName(v.vals[k]), v.vals[k], v.childMap[k]})
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := make([]child[M], 0, len(f.childMap))
+	for _, k := range sortedKeys(f.childMap) {
+		out = append(out, child[M]{f.displayName(f.vals[k]), f.vals[k], f.childMap[k]})
 	}
 	return out
 }
@@ -286,26 +159,8 @@ func (r *Registry) CounterVec(name string, labelNames ...string) *CounterVec {
 	defer r.mu.Unlock()
 	v, ok := r.counterVecs[name]
 	if !ok {
-		v = &CounterVec{childMap: map[string]*Counter{}}
-		v.init(name, labelNames)
+		v = newFamily[Counter](name, labelNames)
 		r.counterVecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns (creating on first use) the named labeled gauge
-// family.
-func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{childMap: map[string]*Gauge{}}
-		v.init(name, labelNames)
-		r.gaugeVecs[name] = v
 	}
 	return v
 }
@@ -320,8 +175,7 @@ func (r *Registry) HistogramVec(name string, labelNames ...string) *HistogramVec
 	defer r.mu.Unlock()
 	v, ok := r.histVecs[name]
 	if !ok {
-		v = &HistogramVec{childMap: map[string]*Histogram{}}
-		v.init(name, labelNames)
+		v = newFamily[Histogram](name, labelNames)
 		r.histVecs[name] = v
 	}
 	return v

@@ -435,7 +435,7 @@ func (s *Server) realSolve(spec *jobSpec) outcome {
 		RegionWorkers: workers,
 		Store:         s.store,
 		Metrics:       s.reg,
-		EventLog:      s.events,
+		Events:        s.events,
 	})
 	if err != nil {
 		return outcome{errMsg: err.Error(), code: http.StatusUnprocessableEntity}

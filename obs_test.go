@@ -5,26 +5,30 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	heteropar "repro"
+	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
-// TestObserverEndToEnd runs the full flow with an observer attached and
-// checks that every pipeline phase left a span, that the Chrome export
-// is valid balanced JSON, and that the simulator contributed per-core
-// occupancy slices.
+// TestObserverEndToEnd runs the full flow with a tracer and a registry
+// attached and checks that every pipeline phase left a span, that the
+// Chrome export is valid balanced JSON, and that the simulator
+// contributed per-core occupancy slices.
 func TestObserverEndToEnd(t *testing.T) {
-	o := heteropar.NewObserver()
+	tr, reg := obs.NewTracer(), obs.NewRegistry()
 	rep, err := heteropar.Parallelize(demoSrc, heteropar.Options{
 		Platform: heteropar.PlatformA(),
 		Scenario: heteropar.Accelerator,
-		Observer: o,
+		Tracer:   tr,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatalf("Parallelize: %v", err)
 	}
 	names := map[string]bool{}
-	for _, n := range o.Tracer.SpanNames() {
+	for _, n := range tr.SpanNames() {
 		names[n] = true
 	}
 	for _, phase := range []string{
@@ -32,18 +36,18 @@ func TestObserverEndToEnd(t *testing.T) {
 		"parallelize", "ilp-solve", "taskspec", "simulate",
 	} {
 		if !names[phase] {
-			t.Errorf("missing span for phase %q (got %v)", phase, o.Tracer.SpanNames())
+			t.Errorf("missing span for phase %q (got %v)", phase, tr.SpanNames())
 		}
 	}
-	if o.Tracer.NumSlices() == 0 {
+	if tr.NumSlices() == 0 {
 		t.Errorf("no occupancy slices exported from the simulation")
 	}
-	if got := o.Metrics.Counter("ilp.solves").Value(); got != int64(rep.Result.Stats.NumILPs) {
+	if got := reg.Counter("ilp.solves").Value(); got != int64(rep.Result.Stats.NumILPs) {
 		t.Errorf("ilp.solves = %d, want %d", got, rep.Result.Stats.NumILPs)
 	}
 
 	var buf bytes.Buffer
-	if err := o.Tracer.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var trace struct {
@@ -81,12 +85,12 @@ func TestObserverEndToEnd(t *testing.T) {
 	if table := rep.SolverStatsTable(); !strings.Contains(table, "region") {
 		t.Errorf("SolverStatsTable missing header:\n%s", table)
 	}
-	if stats := o.Metrics.RenderTable(); !strings.Contains(stats, "ilp.solves") {
+	if stats := reg.RenderTable(); !strings.Contains(stats, "ilp.solves") {
 		t.Errorf("metrics table missing ilp.solves:\n%s", stats)
 	}
 }
 
-// TestObserverNilIsNoOp checks the disabled path: no observer, same
+// TestObserverNilIsNoOp checks the disabled path: no sinks, same
 // result, nothing to export.
 func TestObserverNilIsNoOp(t *testing.T) {
 	rep, err := heteropar.Parallelize(demoSrc, heteropar.Options{})
@@ -98,5 +102,120 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	}
 	if rep.Gantt(-5) == "" {
 		t.Errorf("Gantt with non-positive width should fall back to a default, not be empty")
+	}
+}
+
+// kindCounts runs the demo flow with opts and tallies the event log by
+// kind.
+func kindCounts(t *testing.T, opts heteropar.Options) map[string]int {
+	t.Helper()
+	if _, err := heteropar.Parallelize(demoSrc, opts); err != nil {
+		t.Fatalf("Parallelize: %v", err)
+	}
+	evs := opts.Events.Recent(0)
+	if uint64(len(evs)) != opts.Events.Total() {
+		t.Fatalf("event ring kept %d of %d events", len(evs), opts.Events.Total())
+	}
+	kinds := map[string]int{}
+	for _, ev := range evs {
+		kinds[ev.Kind]++
+	}
+	return kinds
+}
+
+// TestEventsWithoutTracer: an event log alone receives the solver's
+// incumbents and no span markers, since no tracer was given.
+func TestEventsWithoutTracer(t *testing.T) {
+	kinds := kindCounts(t, heteropar.Options{Events: obs.NewEventLog(nil), SkipSimulation: true})
+	if kinds["ilp-incumbent"] == 0 {
+		t.Errorf("no ilp-incumbent events: %v", kinds)
+	}
+	for k := range kinds {
+		if strings.HasPrefix(k, "span-") {
+			t.Errorf("unexpected %s events without a tracer: %v", k, kinds)
+		}
+	}
+}
+
+// TestTracerSpansIntoEvents: a tracer whose owner copied it into the
+// event log with SetEvents yields one span-close per span-open.
+func TestTracerSpansIntoEvents(t *testing.T) {
+	tr, log := obs.NewTracer(), obs.NewEventLog(nil)
+	tr.SetEvents(log)
+	kinds := kindCounts(t, heteropar.Options{Tracer: tr, Events: log, SkipSimulation: true})
+	if kinds["span-open"] == 0 || kinds["span-open"] != kinds["span-close"] {
+		t.Errorf("span-open %d vs span-close %d", kinds["span-open"], kinds["span-close"])
+	}
+	if kinds["span-open"] != tr.NumSpans() {
+		t.Errorf("span-open %d, tracer recorded %d spans", kinds["span-open"], tr.NumSpans())
+	}
+}
+
+// chromeTracksNest exports tr as a Chrome trace and checks that spans
+// nest on every (pid, tid) track: each end event closes the latest open
+// begin, of the same name, and no span opens inside an open span of the
+// same name (concurrent solves or sweep points sharing a track). It
+// returns the number of spans.
+func chromeTracksNest(t *testing.T, tr *obs.Tracer) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			PID  int    `json:"pid"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	type track struct{ pid, tid int }
+	open := map[track][]string{}
+	begins := 0
+	for _, ev := range trace.TraceEvents {
+		tk := track{ev.PID, ev.TID}
+		switch ev.Ph {
+		case "B":
+			begins++
+			for _, name := range open[tk] {
+				if name == ev.Name {
+					t.Fatalf("%s opens inside another %s on track %v", ev.Name, name, tk)
+				}
+			}
+			open[tk] = append(open[tk], ev.Name)
+		case "E":
+			st := open[tk]
+			if len(st) == 0 || st[len(st)-1] != ev.Name {
+				t.Fatalf("end of %q on track %v does not close its begin (open %v)", ev.Name, tk, st)
+			}
+			open[tk] = st[:len(st)-1]
+		}
+	}
+	return begins
+}
+
+// TestChromeTracksUnderRegionWorkers: region solves running on a worker
+// pool each trace to their worker's own track, so the spans of every
+// Chrome track nest, and the trace has the spans of a sequential run.
+func TestChromeTracksUnderRegionWorkers(t *testing.T) {
+	src := bench.ByName("mult_10").Source
+	spans := func(workers int) int {
+		tr := obs.NewTracer()
+		if _, err := heteropar.Parallelize(src, heteropar.Options{
+			MaxILPTime:     time.Hour, // node caps, not the clock, end every search
+			RegionWorkers:  workers,
+			SkipSimulation: true,
+			Tracer:         tr,
+		}); err != nil {
+			t.Fatalf("Parallelize (%d workers): %v", workers, err)
+		}
+		return chromeTracksNest(t, tr)
+	}
+	if seq, par := spans(1), spans(4); par != seq {
+		t.Errorf("4-worker trace has %d spans, sequential %d", par, seq)
 	}
 }
