@@ -2,8 +2,9 @@
 // must be a pure function of (program, platform, configuration): equal
 // inputs give byte-identical plans, costs and sweep reports. That property
 // is easy to lose through three innocuous Go idioms, so this tool walks the
-// deterministic packages (internal/core, internal/ilp, internal/dse,
-// internal/dataflow by default) with go/ast + go/types and reports:
+// deterministic packages (by default internal/core, internal/dataflow,
+// internal/dse, internal/ilp, internal/interp, internal/minic and
+// internal/solstore) with go/ast + go/types and reports:
 //
 //	timenow    — calls to time.Now (wall-clock leaks into results);
 //	globalrand — math/rand package-level calls, which draw from the
@@ -71,14 +72,18 @@ import (
 )
 
 // defaultPackages are the deterministic core of the tool: the ILP solver,
-// the parallelization algorithm, the dataflow analysis and the
+// the parallelization algorithm, the dataflow analysis, the
 // design-space-exploration engine (whose sweeps must be byte-identical
-// across runs and worker counts).
+// across runs and worker counts), the solve store, and the front end and
+// profiler (mini-C and the interpreter), whose statement counts feed the
+// HTG and with it every store key.
 var defaultPackages = []string{
 	"repro/internal/core",
 	"repro/internal/dataflow",
 	"repro/internal/dse",
 	"repro/internal/ilp",
+	"repro/internal/interp",
+	"repro/internal/minic",
 	"repro/internal/solstore",
 }
 

@@ -545,11 +545,9 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		opt.Progress = func(ev ilp.ProgressEvent) {
 			reg.Counter("ilp.incumbents").Inc()
 			reg.Gauge("ilp.incumbent.obj").Set(ev.Obj)
-			reg.Gauge("ilp.gap.last").Set(ev.Gap)
 			elog.Emit("ilp-incumbent", meta.region, map[string]any{
 				"model": meta.model,
 				"obj":   ev.Obj,
-				"gap":   ev.Gap,
 				"nodes": ev.Nodes,
 			})
 		}

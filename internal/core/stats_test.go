@@ -10,6 +10,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/solstore"
 )
 
 const statsSrc = `
@@ -119,5 +120,44 @@ func TestObsWiredThroughSolves(t *testing.T) {
 	}
 	if got := reg.Gauge("ilp.gap.max").Value(); got != maxGap {
 		t.Errorf("ilp.gap.max gauge = %g, want the largest record gap %g", got, maxGap)
+	}
+}
+
+// TestGapLastIsFinalSolveGap checks that the ilp.gap.last gauge ends a
+// plan at the gap of the last solve, and that incumbent events carry no
+// gap: the search knows its gap only when it ends.
+func TestGapLastIsFinalSolveGap(t *testing.T) {
+	g := statsGraph(t)
+	reg := obs.NewRegistry()
+	elog := obs.NewEventLog(nil)
+	res, err := Parallelize(g, platform.ConfigA(), 0, Heterogeneous, Config{
+		Metrics:       reg,
+		Events:        elog,
+		RegionWorkers: 1,
+		Store:         solstore.New(solstore.Options{}),
+	})
+	if err != nil {
+		t.Fatalf("Parallelize: %v", err)
+	}
+	solves := res.Stats.Solves
+	if len(solves) == 0 {
+		t.Fatal("no solve records")
+	}
+	last := solves[len(solves)-1].Gap
+	if got := reg.Gauge("ilp.gap.last").Value(); got != last {
+		t.Errorf("ilp.gap.last = %g, want the last record's gap %g", got, last)
+	}
+	incumbents := 0
+	for _, ev := range elog.Recent(0) {
+		if ev.Kind != "ilp-incumbent" {
+			continue
+		}
+		incumbents++
+		if _, ok := ev.Fields["gap"]; ok {
+			t.Errorf("incumbent event %d carries a gap field: %v", ev.Seq, ev.Fields)
+		}
+	}
+	if incumbents == 0 {
+		t.Error("no ilp-incumbent events")
 	}
 }

@@ -42,10 +42,9 @@ type ProgressEvent struct {
 	// Nodes and LPIters are the exploration counters at event time.
 	Nodes   int
 	LPIters int
-	// Obj is the incumbent objective (meaningless before the first
-	// incumbent); Gap the relative optimality gap when known.
+	// Obj is the incumbent objective. The gap is known only when the
+	// search ends (Result.Gap).
 	Obj float64
-	Gap float64
 }
 
 // Options tunes the branch-and-bound search.

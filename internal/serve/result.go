@@ -78,7 +78,9 @@ func ResultOf(rep *heteropar.Report, program, scenario, approach string) *Result
 
 // Encode renders the result as the canonical JSON document: two-space
 // indentation, struct field order, one trailing newline. Both the CLI
-// and the daemon emit exactly these bytes.
+// and the daemon emit exactly these bytes. The slice has no spare
+// capacity, since the daemon keeps it for as long as the outcome is
+// cached.
 func (r *Result) Encode() []byte {
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -86,5 +88,8 @@ func (r *Result) Encode() []byte {
 		// keep the signature allocation-free for callers anyway.
 		return []byte("{}\n")
 	}
-	return append(buf, '\n')
+	doc := make([]byte, len(buf)+1)
+	copy(doc, buf)
+	doc[len(buf)] = '\n'
+	return doc
 }

@@ -143,12 +143,12 @@ type job struct {
 	running bool
 }
 
-// outcome is a finished job: either the canonical result or an error
-// with the HTTP status it maps to. Outcomes are stored whole — errors
-// included — because for equal inputs the pipeline fails or succeeds
-// deterministically.
+// outcome is a finished job: either the canonical result document,
+// encoded once when the job finishes, or an error with the HTTP status it
+// maps to. Outcomes are stored whole — errors included — because for
+// equal inputs the pipeline fails or succeeds deterministically.
 type outcome struct {
-	res    *Result
+	body   []byte
 	errMsg string
 	code   int
 }
@@ -440,7 +440,7 @@ func (s *Server) realSolve(spec *jobSpec) outcome {
 	if err != nil {
 		return outcome{errMsg: err.Error(), code: http.StatusUnprocessableEntity}
 	}
-	return outcome{res: ResultOf(rep, spec.name, spec.scenarioStr, spec.approachStr), code: http.StatusOK}
+	return outcome{body: ResultOf(rep, spec.name, spec.scenarioStr, spec.approachStr).Encode(), code: http.StatusOK}
 }
 
 // retryAfterSeconds estimates when a rejected client should retry: the
@@ -473,7 +473,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out outcome) int {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(out.code)
-	_, _ = w.Write(out.res.Encode())
+	_, _ = w.Write(out.body)
 	return out.code
 }
 

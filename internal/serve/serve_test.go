@@ -67,7 +67,8 @@ func stubSolve(s *Server, calls *atomic.Int64, release <-chan struct{}) {
 		if release != nil {
 			<-release
 		}
-		return outcome{res: &Result{Program: spec.name, Scenario: spec.scenarioStr, Approach: spec.approachStr}, code: 200}
+		res := &Result{Program: spec.name, Scenario: spec.scenarioStr, Approach: spec.approachStr}
+		return outcome{body: res.Encode(), code: 200}
 	}
 }
 
