@@ -45,7 +45,8 @@ bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_ilp.json
 
 # Bench gate: re-measure the stable microbench suites and fail when any
-# ns/op regresses past 2x the committed BENCH_ilp.json value.
+# ns/op regresses past 2x the committed BENCH_ilp.json value, or when a
+# deterministic work counter (lp-iters/op, nodes/op) differs from it.
 bench-check:
 	$(GO) run ./cmd/benchjson -suite ilp -check BENCH_ilp.json
 	$(GO) run ./cmd/benchjson -suite solstore -check BENCH_ilp.json

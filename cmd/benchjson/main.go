@@ -10,8 +10,9 @@
 //     three-benchmark subset, one iteration each — these measure the
 //     end-to-end pipeline including every ILP solve.
 //   - ilp: the solver microbenches in internal/ilp (root relaxation,
-//     warm vs cold MILP, knapsack node throughput, cut separation),
-//     run under the normal benchtime so ns/op is stable.
+//     the chunk-region MILP, knapsack node throughput, a search-heavy
+//     assignment model), run under the normal benchtime so ns/op is
+//     stable.
 //   - solstore: the region-solve store microbenches (warm lookup, LRU
 //     eviction pressure, singleflight, concurrent mixed traffic).
 //   - dse: the sweep-point benches (cold vs warm region store, with
@@ -31,7 +32,9 @@
 // With -check, no file is written: measured ns/op must stay within
 // -tolerance (default 2x) of the committed values, so CI catches
 // order-of-magnitude solver regressions without flaking on machine
-// noise. The output schema is documented in EXPERIMENTS.md.
+// noise, and the deterministic work counters (lp-iters/op, nodes/op)
+// must equal the committed values exactly, since they do not depend on
+// the host. The output schema is documented in EXPERIMENTS.md.
 package main
 
 import (
@@ -123,7 +126,7 @@ var suites = []suite{
 func main() {
 	out := flag.String("o", "BENCH_ilp.json", "output file")
 	only := flag.String("suite", "all", "suite to run: figures, ilp, solstore, dse, obs, deps, serve or all")
-	check := flag.String("check", "", "compare measured ns/op against this committed file instead of writing; exit 1 on regression beyond -tolerance")
+	check := flag.String("check", "", "compare measured results against this committed file instead of writing; exit 1 on an ns/op regression beyond -tolerance or a changed work counter")
 	tolerance := flag.Float64("tolerance", 2.0, "with -check: fail when measured ns/op exceeds the committed value by more than this factor")
 	flag.Parse()
 
@@ -149,7 +152,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: %d results within %.1fx of %s\n", len(doc.Benchmarks), *tolerance, *check)
+		fmt.Printf("benchjson: %d results within %.1fx of %s, work counters equal\n", len(doc.Benchmarks), *tolerance, *check)
 		return
 	}
 	buf, err := json.MarshalIndent(&doc, "", "  ")
@@ -165,11 +168,15 @@ func main() {
 	fmt.Printf("benchjson: wrote %d results to %s\n", len(doc.Benchmarks), *out)
 }
 
+// workCounters are the metrics that count deterministic solver work:
+// they do not depend on the host, so the gate requires them to match.
+var workCounters = []string{"lp-iters/op", "nodes/op"}
+
 // checkAgainst compares measured results with the committed reference:
 // every measured op that also appears in the reference (same suite and
-// name) must stay within factor x of the committed ns/op. New or
-// removed benches are reported but never fail the gate, so the file
-// only needs regenerating when timings actually move.
+// name) must stay within factor x of the committed ns/op, and report
+// the committed value of every work counter either side has. New or
+// removed benches are reported but never fail the gate.
 func checkAgainst(path string, measured []Record, factor float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -179,9 +186,9 @@ func checkAgainst(path string, measured []Record, factor float64) error {
 	if err := json.Unmarshal(data, &ref); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	committed := map[string]float64{}
+	committed := map[string]Record{}
 	for _, r := range ref.Benchmarks {
-		committed[r.Suite+"/"+r.Op] = r.NsPerOp
+		committed[r.Suite+"/"+r.Op] = r
 	}
 	var regressions []string
 	for _, r := range measured {
@@ -190,16 +197,33 @@ func checkAgainst(path string, measured []Record, factor float64) error {
 			fmt.Printf("benchjson: %s/%s not in %s (new bench; regenerate with make bench-json)\n", r.Suite, r.Op, path)
 			continue
 		}
-		if want > 0 && r.NsPerOp > want*factor {
+		if want.NsPerOp > 0 && r.NsPerOp > want.NsPerOp*factor {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s/%s: %.0f ns/op vs committed %.0f ns/op (%.2fx > %.1fx tolerance)",
-				r.Suite, r.Op, r.NsPerOp, want, r.NsPerOp/want, factor))
+				r.Suite, r.Op, r.NsPerOp, want.NsPerOp, r.NsPerOp/want.NsPerOp, factor))
+		}
+		for _, unit := range workCounters {
+			got, gok := r.Metrics[unit]
+			exp, eok := want.Metrics[unit]
+			if gok != eok || got != exp {
+				regressions = append(regressions, fmt.Sprintf(
+					"%s/%s: %s %s vs committed %s (work counters must match exactly)",
+					r.Suite, r.Op, unit, metricText(got, gok), metricText(exp, eok)))
+			}
 		}
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("bench regression:\n  %s", strings.Join(regressions, "\n  "))
 	}
 	return nil
+}
+
+// metricText renders a possibly missing metric value.
+func metricText(v float64, ok bool) string {
+	if !ok {
+		return "missing"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func runSuite(s suite) ([]Record, error) {

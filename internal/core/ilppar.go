@@ -566,7 +566,6 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		LPIters:    res.LPIters,
 		Incumbents: res.Incumbents,
 		Gap:        res.Gap,
-		Cuts:       res.Cuts,
 		WarmStarts: res.WarmStarts,
 		WarmHits:   res.WarmHits,
 		TimedOut:   res.TimedOut,
@@ -580,7 +579,6 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		reg.Gauge("ilp.gap.max").Max(res.Gap)
 		reg.Gauge("ilp.gap.last").Set(res.Gap)
 		reg.Histogram("ilp.solve_time").Observe(dur)
-		reg.Counter("ilp.cuts").Add(int64(res.Cuts))
 		reg.Counter("ilp.warm_starts").Add(int64(res.WarmStarts))
 		reg.Counter("ilp.warm_hits").Add(int64(res.WarmHits))
 		if res.TimedOut {

@@ -152,10 +152,8 @@ type SolveRecord struct {
 	LPIters    int
 	Incumbents int
 	Gap        float64
-	// Cuts counts root cutting planes; WarmStarts the node relaxations
-	// attempted from the parent basis and WarmHits those that succeeded
-	// without a cold fallback.
-	Cuts       int
+	// WarmStarts counts the node relaxations attempted from the parent
+	// basis and WarmHits those that succeeded without a cold fallback.
 	WarmStarts int
 	WarmHits   int
 	// TimedOut / NodeCapped mark truncated searches.
@@ -180,9 +178,8 @@ type Stats struct {
 	// the integral improvements found.
 	LPIters    int
 	Incumbents int
-	// Cuts, WarmStarts and WarmHits aggregate the revised-simplex engine
+	// WarmStarts and WarmHits aggregate the revised-simplex engine
 	// counters across all solves.
-	Cuts       int
 	WarmStarts int
 	WarmHits   int
 	// Timeouts and NodeCapHits count truncated solves; ProvedOptimal the
@@ -205,7 +202,6 @@ func (s *Stats) record(rec SolveRecord) {
 	s.BBNodes += rec.Nodes
 	s.LPIters += rec.LPIters
 	s.Incumbents += rec.Incumbents
-	s.Cuts += rec.Cuts
 	s.WarmStarts += rec.WarmStarts
 	s.WarmHits += rec.WarmHits
 	if rec.TimedOut {
@@ -257,8 +253,8 @@ func (s *Stats) SolveTable() string {
 	if s.WarmStarts > 0 {
 		warmPct = 100 * float64(s.WarmHits) / float64(s.WarmStarts)
 	}
-	fmt.Fprintf(&sb, "       %d root cuts, %d/%d warm starts hit (%.1f%%)\n",
-		s.Cuts, s.WarmHits, s.WarmStarts, warmPct)
+	fmt.Fprintf(&sb, "       %d/%d warm starts hit (%.1f%%)\n",
+		s.WarmHits, s.WarmStarts, warmPct)
 	return sb.String()
 }
 

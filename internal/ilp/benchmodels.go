@@ -159,8 +159,8 @@ func BenchKnapsackModel(n int, seed uint64) *Model {
 }
 
 // BenchAssignmentModel builds a t-task × c-class assignment model with
-// set-partitioning rows and class-capacity knapsacks — the shape the root
-// cover/clique cut separator targets.
+// set-partitioning rows and class-capacity knapsacks, a search-heavy
+// shape with many near-tied fractional assignments.
 func BenchAssignmentModel(t, c int, seed uint64) *Model {
 	m := NewModel()
 	rng := seed

@@ -59,11 +59,6 @@ type Options struct {
 	// RelGap terminates the search once the relative optimality gap of the
 	// incumbent drops to or below this value (0 = prove optimality).
 	RelGap float64
-	// DisableCuts skips root cover/clique cut separation.
-	DisableCuts bool
-	// DisableWarmStart forces every node relaxation to solve from
-	// scratch (benchmark baseline; warm starts are on by default).
-	DisableWarmStart bool
 	// Progress, when non-nil, receives one event per incumbent
 	// improvement. The hook runs inline on the solve loop and must be
 	// cheap; a nil hook costs a single pointer test (nothing is allocated
@@ -81,13 +76,11 @@ type Result struct {
 	Nodes   int
 	LPIters int
 	// LPItersRoot, LPItersDive and LPItersSearch split LPIters across the
-	// solve phases: root relaxation (plus cut re-solves), the
-	// depth-first incumbent dive, and the best-first search.
+	// solve phases: root relaxation, the depth-first incumbent dive,
+	// and the best-first search.
 	LPItersRoot   int
 	LPItersDive   int
 	LPItersSearch int
-	// Cuts counts root cutting planes added to the relaxation.
-	Cuts int
 	// WarmStarts counts node relaxations attempted from the parent basis;
 	// WarmHits those that succeeded without falling back to a cold solve.
 	WarmStarts int
@@ -217,7 +210,7 @@ func (sc *searcher) solveNode(nd *bbNode, cutoff float64) nodeLP {
 	s.iters = 0
 	out := nodeLP{}
 	st := lpFailed
-	if nd.basis != nil && !sc.opt.DisableWarmStart {
+	if nd.basis != nil {
 		out.warm = true
 		st = s.solveWarm(nd.basis, nd.stat)
 	}
@@ -301,33 +294,6 @@ func Solve(mod *Model, opt Options) Result {
 			res.Gap = relGap(rootLP.Obj)
 		}
 		return res
-	}
-
-	// Root cut separation: cover/clique cuts are globally valid, so they
-	// tighten every node relaxation of the search.
-	if !opt.DisableCuts && mod.NumIntegral() > 0 {
-		for round := 0; round < cutRounds; round++ {
-			if pickBranchVar(mod, rootLP.X) < 0 {
-				break // integral already
-			}
-			cuts := genCuts(mod, rootLP.X)
-			if len(cuts) == 0 {
-				break
-			}
-			sc.p = sc.p.appendCuts(cuts)
-			res.Cuts += len(cuts)
-			root = newLPSolver(sc.p)
-			root.deadline = opt.Deadline
-			root.setBounds(rootLo, rootHi)
-			st = root.solveCold()
-			if st != LPOptimal {
-				break // numerical trouble: keep the last good relaxation
-			}
-			lp := root.result(st)
-			res.LPIters += lp.Iters
-			res.LPItersRoot += lp.Iters
-			rootLP = lp
-		}
 	}
 
 	sc.lp = newLPSolver(sc.p)

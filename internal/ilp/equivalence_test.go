@@ -206,10 +206,10 @@ func TestMILPMatchesBruteForce(t *testing.T) {
 // resultKey serializes everything that must be reproducible: status,
 // objective and solution bit patterns, and every effort counter.
 func resultKey(res Result) string {
-	s := fmt.Sprintf("st=%v obj=%x nodes=%d lpIters=%d/%d/%d/%d cuts=%d warm=%d/%d inc=%d gap=%x",
+	s := fmt.Sprintf("st=%v obj=%x nodes=%d lpIters=%d/%d/%d/%d warm=%d/%d inc=%d gap=%x",
 		res.Status, math.Float64bits(res.Obj), res.Nodes,
 		res.LPIters, res.LPItersRoot, res.LPItersDive, res.LPItersSearch,
-		res.Cuts, res.WarmHits, res.WarmStarts, res.Incumbents, math.Float64bits(res.Gap))
+		res.WarmHits, res.WarmStarts, res.Incumbents, math.Float64bits(res.Gap))
 	for _, v := range res.X {
 		s += fmt.Sprintf(" %x", math.Float64bits(v))
 	}

@@ -141,17 +141,6 @@ func (m *Model) NumVars() int { return len(m.Vars) }
 // NumCons returns the constraint count.
 func (m *Model) NumCons() int { return len(m.Cons) }
 
-// NumIntegral returns the count of integer/binary variables.
-func (m *Model) NumIntegral() int {
-	n := 0
-	for _, v := range m.Vars {
-		if v.Kind != Continuous {
-			n++
-		}
-	}
-	return n
-}
-
 // Validate reports structural errors.
 func (m *Model) Validate() error {
 	for i, v := range m.Vars {

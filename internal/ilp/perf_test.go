@@ -21,9 +21,9 @@ func TestChunkLPSmoke(t *testing.T) {
 		lp.Obj, lp.Iters, time.Since(start), m.NumVars(), m.NumCons())
 	start = time.Now()
 	res := Solve(m, Options{MaxNodes: 3000, Deadline: time.Now().Add(5 * time.Second), RelGap: 0.05})
-	t.Logf("MILP: status=%v obj=%.0f nodes=%d lpIters=%d warm=%d/%d cuts=%d in %v",
+	t.Logf("MILP: status=%v obj=%.0f nodes=%d lpIters=%d warm=%d/%d in %v",
 		res.Status, res.Obj, res.Nodes, res.LPIters, res.WarmHits, res.WarmStarts,
-		res.Cuts, time.Since(start))
+		time.Since(start))
 	if res.Status != StatusOptimal && res.Status != StatusFeasible {
 		t.Errorf("expected a solution, got %v", res.Status)
 	}
@@ -74,14 +74,6 @@ func BenchmarkChunkMILP(b *testing.B) {
 	benchSolve(b, m, Options{MaxNodes: 3000, RelGap: 0.05})
 }
 
-// BenchmarkChunkMILPCold disables warm starts and cuts: the
-// every-node-from-scratch baseline the tentpole rewrite replaces.
-func BenchmarkChunkMILPCold(b *testing.B) {
-	m := BenchChunkModel()
-	b.ResetTimer()
-	benchSolve(b, m, Options{MaxNodes: 3000, RelGap: 0.05, DisableWarmStart: true, DisableCuts: true})
-}
-
 // BenchmarkKnapsackMILP stresses node throughput on a weak-bound
 // knapsack: nearly every node warm-starts from its parent.
 func BenchmarkKnapsackMILP(b *testing.B) {
@@ -90,8 +82,9 @@ func BenchmarkKnapsackMILP(b *testing.B) {
 	benchSolve(b, m, Options{MaxNodes: 5000})
 }
 
-// BenchmarkAssignmentMILP exercises the cover/clique cut separator on
-// set-partitioning rows with capacity knapsacks.
+// BenchmarkAssignmentMILP searches set-partitioning rows coupled by
+// capacity knapsacks, where the dive backtracks heavily before its
+// first incumbent.
 func BenchmarkAssignmentMILP(b *testing.B) {
 	m := BenchAssignmentModel(14, 4, 3)
 	b.ResetTimer()

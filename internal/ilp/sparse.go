@@ -3,7 +3,7 @@ package ilp
 import "math"
 
 // prob is the compiled sparse form of a Model, built once per Solve and
-// shared read-only by every branch-and-bound node (and every worker).
+// shared read-only by every branch-and-bound node.
 //
 // All constraints are equalities over an extended column space: row i of
 // the original model becomes  a_i·x + s_i = b_i  where s_i is the row's
@@ -151,69 +151,6 @@ func (p *prob) buildCSR() {
 			next[i]++
 		}
 	}
-}
-
-// appendCuts returns a new prob extending p with the given globally valid
-// rows (each a LE cut over structural columns). The receiver is unchanged;
-// lpSolvers bound to the old prob must be re-initialized.
-func (p *prob) appendCuts(cuts []cut) *prob {
-	m2 := p.m + len(cuts)
-	q := &prob{
-		m:        m2,
-		nStruct:  p.nStruct,
-		n:        p.nStruct + m2,
-		obj:      p.obj,
-		integral: p.integral,
-		b:        make([]float64, m2),
-		lo:       make([]float64, p.nStruct+m2),
-		hi:       make([]float64, p.nStruct+m2),
-	}
-	copy(q.b, p.b)
-	copy(q.lo, p.lo[:p.nStruct])
-	copy(q.hi, p.hi[:p.nStruct])
-	copy(q.lo[p.nStruct:], p.lo[p.nStruct:])
-	copy(q.hi[p.nStruct:], p.hi[p.nStruct:])
-	for k, c := range cuts {
-		i := p.m + k
-		q.b[i] = c.rhs
-		si := q.nStruct + i
-		q.lo[si], q.hi[si] = 0, math.Inf(1) // LE slack
-	}
-	// Rebuild CSC with the cut terms appended per column.
-	counts := make([]int32, p.nStruct)
-	for j := 0; j < p.nStruct; j++ {
-		counts[j] = p.colPtr[j+1] - p.colPtr[j]
-	}
-	for _, c := range cuts {
-		for _, t := range c.terms {
-			counts[t.v]++
-		}
-	}
-	q.colPtr = make([]int32, p.nStruct+1)
-	for j := 0; j < p.nStruct; j++ {
-		q.colPtr[j+1] = q.colPtr[j] + counts[j]
-	}
-	q.rowIdx = make([]int32, q.colPtr[p.nStruct])
-	q.colVal = make([]float64, q.colPtr[p.nStruct])
-	next := make([]int32, p.nStruct)
-	copy(next, q.colPtr[:p.nStruct])
-	for j := 0; j < p.nStruct; j++ {
-		for at := p.colPtr[j]; at < p.colPtr[j+1]; at++ {
-			q.rowIdx[next[j]] = p.rowIdx[at]
-			q.colVal[next[j]] = p.colVal[at]
-			next[j]++
-		}
-	}
-	for k, c := range cuts {
-		i := int32(p.m + k)
-		for _, t := range c.terms {
-			q.rowIdx[next[t.v]] = i
-			q.colVal[next[t.v]] = t.coeff
-			next[t.v]++
-		}
-	}
-	q.buildCSR()
-	return q
 }
 
 // gatherCol scatters column j of [A|I] into the dense vector dst

@@ -53,7 +53,7 @@ func trajectoryCases() []trajectoryCase {
 // TestSearchTrajectory pins the exact branch-and-bound search path:
 // status, objective, solution bits and every effort counter of each
 // case must match the committed golden. Any change to node order,
-// pruning, warm starts or cut separation shows up here first; rewrite
+// pruning or warm starts shows up here first; rewrite
 // the golden only for a solver change that is meant to alter the path.
 func TestSearchTrajectory(t *testing.T) {
 	want := readTrajectoryGolden(t)

@@ -296,12 +296,7 @@ func (in *Interp) Run() (prof *Profile, err error) {
 	for _, g := range c.globals {
 		g()
 	}
-	fr := newFrame(c.main)
-	if len(c.main.params) > 0 {
-		var args []val
-		_ = args[0] // main gets no arguments: binding one panics, as in the tree-walker
-	}
-	in.invoke(c.main, fr)
+	in.invoke(c.main, newFrame(c.main)) // the checker gives main no parameters
 	return in.profile(), nil
 }
 

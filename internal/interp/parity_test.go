@@ -190,8 +190,6 @@ var parityCases = []struct {
 	{"step limit", `int r; void main(void) { while (1) { r = r + 1; } }`, "runtime error at 1:26: step limit exceeded (infinite loop?)"},
 	{"step limit in a for loop", `int r; void main(void) { for (;;) { } }`, "runtime error at 1:26: step limit exceeded (infinite loop?)"},
 	{"global created later", `int g(void) { return h; } int r = g(); int h = 2; void main(void) { }`, "internal: storage for h#1:int not found"},
-	{"main with parameters", `int r; void main(int x) { r = 1; }`, "panic: runtime error: index out of range [0] with length 0"},
-	{"scalar with a brace initializer", `int r; void main(void) { int x = {1}; r = x; }`, "panic: runtime error: index out of range [0] with length 0"},
 }
 
 // outcomeText renders an outcome the way parityCases spell it.
@@ -232,7 +230,8 @@ func TestParityCases(t *testing.T) {
 }
 
 // maxFuzzElems bounds the array storage a fuzzed program may declare, so
-// one input cannot exhaust memory: neither evaluator limits allocation.
+// each input stays fast: the checker's own bound admits up to 1<<20
+// elements, which both evaluators allocate in full.
 const maxFuzzElems = 1 << 16
 
 func declaresHugeArray(prog *minic.Program) bool {

@@ -105,8 +105,9 @@ func (r *resolver) global(gi int, g *minic.GlobalDecl) func() {
 // fresh zeroed scalar or array, then runs the initializer in fr.
 func (r *resolver) create(sl *slot, init minic.Expr, list []minic.Expr) func(fr *frame) {
 	in := r.in
-	initFn, listFns := r.optExpr(init), r.exprs(list)
+	initFn := r.optExpr(init)
 	if sl.arr {
+		listFns := r.exprs(list)
 		return func(fr *frame) {
 			av := &fr.a[sl.k]
 			*av = newArr(sl.sym.Type, sl.sym)
@@ -117,12 +118,10 @@ func (r *resolver) create(sl *slot, init minic.Expr, list []minic.Expr) func(fr 
 			}
 		}
 	}
-	return func(fr *frame) {
+	return func(fr *frame) { // the checker gives a scalar no brace list
 		fr.s[sl.k] = sl.conv(val{})
 		if initFn != nil {
 			fr.s[sl.k] = sl.conv(initFn(fr))
-		} else if len(listFns) > 0 {
-			in.fill(fr, &arr{root: sl.sym}, listFns) // a scalar has no elements to fill
 		}
 	}
 }

@@ -11,6 +11,15 @@ var Builtins = map[string]int{
 	"abs": 1, "min": 2, "max": 2,
 }
 
+// maxArrayElems bounds the array storage a program may declare: one
+// array declaration, and the sum over every global and local array
+// declaration of a program, may hold at most this many elements. The
+// interpreter allocates each declared array in full when it runs the
+// declaration, so without the bound `int a[100000][100000];` would ask
+// for 10^10 elements. The bundled benchmarks and examples declare at
+// most 18,624 elements in total.
+const maxArrayElems = 1 << 20
+
 // checker holds the state of one type-checking pass.
 type checker struct {
 	prog   *Program
@@ -25,6 +34,8 @@ type checker struct {
 	undefVars  map[string]*Symbol
 	undefFuncs map[string]bool
 	badSyms    map[*Symbol]bool
+	// arrayElems sums the elements of every array declared so far.
+	arrayElems int
 }
 
 // Check resolves all names, assigns Symbols and verifies types in place.
@@ -57,14 +68,9 @@ func CheckAll(prog *Program) []Diagnostic {
 		if g.Init != nil {
 			c.exprType(g.Init)
 		}
-		for _, e := range g.List {
-			c.exprType(e)
-		}
+		c.checkStorage(g.Pos, g.Name, g.Type, g.List)
 		if g.Type.IsArray() && g.Init != nil {
 			c.errorf(g.Pos, "type", "array %s needs a brace initializer", g.Name)
-		}
-		if len(g.List) > g.Type.NumElems() {
-			c.errorf(g.Pos, "type", "too many initializers for %s", g.Name)
 		}
 		g.Sym = c.declare(g.Pos, g.Name, SymGlobal, g.Type)
 	}
@@ -82,7 +88,41 @@ func CheckAll(prog *Program) []Diagnostic {
 	for _, f := range prog.Funcs {
 		c.checkFunc(f)
 	}
+	if f := prog.Func("main"); f != nil && len(f.Params) > 0 {
+		c.errorf(f.Pos, "arity", "main must take no parameters")
+	}
 	return c.diags
+}
+
+// checkStorage checks the brace list of a declaration and the storage
+// it declares: a scalar takes no brace list, an array no more
+// initializers than elements, and arrays stay within maxArrayElems.
+func (c *checker) checkStorage(pos Pos, name string, t Type, list []Expr) {
+	for _, e := range list {
+		c.exprType(e)
+	}
+	if t.IsScalar() {
+		if list != nil {
+			c.errorf(pos, "type", "scalar %s cannot take a brace initializer", name)
+		}
+		return
+	}
+	n := 1
+	for _, d := range t.Dims {
+		if d > maxArrayElems/n {
+			c.errorf(pos, "size", "array %s of type %s holds more than %d elements", name, t, maxArrayElems)
+			return
+		}
+		n *= d
+	}
+	if len(list) > n {
+		c.errorf(pos, "type", "too many initializers for %s", name)
+	}
+	prev := c.arrayElems
+	c.arrayElems += n
+	if prev <= maxArrayElems && c.arrayElems > maxArrayElems {
+		c.errorf(pos, "size", "array %s takes the program's arrays past %d elements", name, maxArrayElems)
+	}
 }
 
 // errorf records one semantic error.
@@ -164,12 +204,7 @@ func (c *checker) checkStmt(s Stmt) {
 				c.errorf(st.Pos, "type", "cannot initialize %s with an array value", st.Name)
 			}
 		}
-		for _, e := range st.List {
-			c.exprType(e)
-		}
-		if len(st.List) > st.Type.NumElems() {
-			c.errorf(st.Pos, "type", "too many initializers for %s", st.Name)
-		}
+		c.checkStorage(st.Pos, st.Name, st.Type, st.List)
 		st.Sym = c.declare(st.Pos, st.Name, SymLocal, st.Type)
 	case *ExprStmt:
 		c.exprType(st.X)

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,11 @@ func TestCheckerErrors(t *testing.T) {
 		{"shadow builtin", `float sqrt(float x) { return x; } void main(void) {}`, "shadows a builtin"},
 		{"builtin arity", `void main(void) { float x = sqrt(1.0, 2.0); }`, "expects 1 argument"},
 		{"array extent", `void f(int a[4]) {} void main(void) { int b[5]; f(b); }`, "extent mismatch"},
+		{"main with parameters", `int r; void main(int x) { r = 1; }`, "1:13: error: main must take no parameters"},
+		{"scalar with a brace initializer", `int r; void main(void) { int x = {1}; r = x; }`, "1:30: error: scalar x cannot take a brace initializer"},
+		{"global scalar with a brace initializer", `int x = {1}; void main(void) { }`, "1:5: error: scalar x cannot take a brace initializer"},
+		{"array past the element bound", `void main(void) { float a[1025][1024]; }`, "1:25: error: array a of type float[1025][1024] holds more than 1048576 elements"},
+		{"arrays past the program bound", `int a[1024][512]; void main(void) { int b[512][1025]; }`, "1:41: error: array b takes the program's arrays past 1048576 elements"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,6 +195,30 @@ func TestCheckerErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+// TestHugeArrayRejectedWithoutAllocation checks that the storage bound
+// is enforced from the declared dimensions alone: a declaration of 10^10
+// elements is rejected before anything of that size is allocated.
+func TestHugeArrayRejectedWithoutAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Compile(`int a[100000][100000]; void main(void) { a[0][0] = 1; }`)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "1:5: error: array a of type int[100000][100000] holds more than") {
+		t.Fatalf("got %v, want a positioned size error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("compiling allocated %d bytes", grew)
+	}
+}
+
+// TestArrayBoundAdmitsLimit checks that storage exactly at the bound is
+// accepted.
+func TestArrayBoundAdmitsLimit(t *testing.T) {
+	if _, err := Compile(`int a[1024][512]; void main(void) { float b[512][1024]; }`); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -146,7 +146,9 @@ type job struct {
 // outcome is a finished job: either the canonical result document,
 // encoded once when the job finishes, or an error with the HTTP status it
 // maps to. Outcomes are stored whole — errors included — because for
-// equal inputs the pipeline fails or succeeds deterministically.
+// equal inputs the pipeline fails or succeeds deterministically. The one
+// exception is a solve that panicked: its 500 is served to the waiting
+// requests but never stored, so a repeat runs the solve again.
 type outcome struct {
 	body   []byte
 	errMsg string
@@ -401,14 +403,16 @@ func (s *Server) worker() {
 		j.setRunning()
 		s.inflight.Add(1)
 		t0 := now()
-		out := s.solve(j.spec)
+		out := s.solveRecovered(j.spec)
 		d := since(t0)
 		s.inflight.Add(-1)
 		s.solveLatency.Observe(d)
 		// Publish to the store before closing the registry entry, so a
 		// request arriving between the two always finds one or the
 		// other — never a gap.
-		s.store.Put(storeKeyPrefix+j.spec.key, out)
+		if out.code != http.StatusInternalServerError {
+			s.store.Put(storeKeyPrefix+j.spec.key, out)
+		}
 		j.finish(out)
 		s.jobsMu.Lock()
 		delete(s.jobs, j.spec.key)
@@ -419,6 +423,18 @@ func (s *Server) worker() {
 			"solve_ms": float64(d.Nanoseconds()) / 1e6,
 		})
 	}
+}
+
+// solveRecovered runs s.solve and turns a panic into a 500 outcome, so
+// one faulty job fails its own requests instead of the daemon.
+func (s *Server) solveRecovered(spec *jobSpec) (out outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = outcome{errMsg: fmt.Sprintf("internal error: the solve of job %s panicked: %v", spec.key, r),
+				code: http.StatusInternalServerError}
+		}
+	}()
+	return s.solve(spec)
 }
 
 // realSolve runs the full pipeline through the facade, sharing the

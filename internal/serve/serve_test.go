@@ -471,6 +471,51 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSolvePanicServes500 runs a solve that panics on one key: that
+// request gets a 500 error envelope, other requests are still served,
+// and the 500 is not cached, so a repeat solves again.
+func TestSolvePanicServes500(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{Workers: 1, Metrics: reg})
+	var calls, panics atomic.Int64
+	stubSolve(s, &calls, nil)
+	ok := s.solve
+	s.solve = func(spec *jobSpec) outcome {
+		if spec.name == "fir_256" && panics.Add(1) == 1 {
+			panic("stub fault")
+		}
+		return ok(spec)
+	}
+
+	st, body := post(t, ts.URL, Request{Bench: "fir_256"})
+	var env map[string]string
+	if err := json.Unmarshal(body, &env); err != nil || st != http.StatusInternalServerError ||
+		!strings.Contains(env["error"], "panicked: stub fault") {
+		t.Fatalf("panicking solve: status %d body %s; want a 500 error envelope", st, body)
+	}
+	if st, body := post(t, ts.URL, Request{Bench: "mult_10"}); st != http.StatusOK {
+		t.Fatalf("request after the panic: status %d body %s", st, body)
+	}
+	if st, body := post(t, ts.URL, Request{Bench: "fir_256"}); st != http.StatusOK {
+		t.Fatalf("repeat of the panicked request: status %d body %s", st, body)
+	}
+	if got := panics.Load(); got != 2 {
+		t.Errorf("fir_256 solved %d times; want 2 (the 500 must not be cached)", got)
+	}
+	if got := reg.Counter("serve.cache.hits").Value(); got != 0 {
+		t.Errorf("serve.cache.hits = %d; want 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	if want := `heteropar_serve_requests{code="500",endpoint="parallelize"} 1`; !strings.Contains(string(text), want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+}
+
 // TestRetryAfterSeconds pins the backpressure estimate policy.
 func TestRetryAfterSeconds(t *testing.T) {
 	cases := []struct {
