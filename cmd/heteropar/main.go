@@ -99,7 +99,7 @@ func main() {
 	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
-			fatalf("%v", err)
+			fatal(err)
 		}
 		source, name = string(data), flag.Arg(0)
 	case flag.NArg() > 1:
@@ -112,7 +112,7 @@ func main() {
 	if *lintFlag {
 		diags, err := analysis.LintSource(source)
 		if err != nil {
-			fatalf("%v", err)
+			fatal(err)
 		}
 		errors := 0
 		for _, d := range diags {
@@ -139,7 +139,7 @@ func main() {
 	case strings.HasSuffix(*platformFlag, ".json"):
 		pf, err := platform.LoadFile(*platformFlag)
 		if err != nil {
-			fatalf("%v", err)
+			fatal(err)
 		}
 		opts.Platform = pf
 	default:
@@ -168,7 +168,7 @@ func main() {
 	}
 	tele, err := clitelemetry.Start("heteropar", *metricsAddr, *eventsFlag, opts.Metrics)
 	if err != nil {
-		fatalf("%v", err)
+		fatal(err)
 	}
 	defer tele.Close()
 	opts.Events = tele.Events
@@ -178,7 +178,7 @@ func main() {
 	}
 	opts.RegionWorkers = *workersFlag
 	if err := clitelemetry.ValidateStoreCap(*storeCapFlag, "disables the store"); err != nil {
-		fatalf("%v", err)
+		fatal(err)
 	}
 	if *storeCapFlag > 0 {
 		opts.Store = solstore.New(solstore.Options{
@@ -190,7 +190,7 @@ func main() {
 
 	rep, err := heteropar.Parallelize(source, opts)
 	if err != nil {
-		fatalf("%v", err)
+		fatal(err)
 	}
 
 	if *jsonFlag {
@@ -264,6 +264,18 @@ func main() {
 		}
 		fmt.Printf("\nparallel Go implementation written to %s (run with `go run %s`)\n", *emitGo, *emitGo)
 	}
+}
+
+// fatal exits on err. The facade's errors already carry the
+// "heteropar: " prefix, so errLine prints it once whatever the source.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, errLine(err))
+	os.Exit(1)
+}
+
+// errLine is err's message behind exactly one "heteropar: " prefix.
+func errLine(err error) string {
+	return "heteropar: " + strings.TrimPrefix(err.Error(), "heteropar: ")
 }
 
 func fatalf(format string, args ...any) {

@@ -111,7 +111,9 @@ type Options struct {
 	Scenario Scenario
 	// Approach picks the algorithm (Heterogeneous by default).
 	Approach Approach
-	// MaxILPTime caps the solver time per ILP (optional).
+	// MaxILPTime caps the solver time per ILP (optional). Without it
+	// every solve ends on a deterministic work budget, so the plan does
+	// not depend on machine speed; with it a plan may.
 	MaxILPTime time.Duration
 	// DisableChunking turns DOALL iteration splitting off (ablation).
 	DisableChunking bool

@@ -13,7 +13,7 @@ func TestConfigFingerprint(t *testing.T) {
 	// The zero config and the explicitly-defaulted config are equivalent.
 	var zero Config
 	expl := Config{MaxItemsPerILP: 12, MaxCandsPerClass: 5, MaxILPNodes: 1500,
-		ILPTimeout: 400 * time.Millisecond, ILPRelGap: 0.01}
+		ILPRelGap: 0.01}
 	if zero.Fingerprint() != expl.Fingerprint() {
 		t.Errorf("zero config fingerprint %q != defaulted %q", zero.Fingerprint(), expl.Fingerprint())
 	}

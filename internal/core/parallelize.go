@@ -49,7 +49,10 @@ type Config struct {
 	MaxTasksPerRegion int
 	// MaxILPNodes caps branch-and-bound nodes per ILP (default 1500).
 	MaxILPNodes int
-	// ILPTimeout caps wall time per ILP (default 400ms).
+	// ILPTimeout, when positive, caps wall time per ILP. There is no cap
+	// by default: a wall-clock cap makes the plan depend on machine speed
+	// and load, so the default path ends every search on the
+	// deterministic node budget (MaxILPNodes) or the gap.
 	ILPTimeout time.Duration
 	// ILPRelGap accepts incumbents within this relative optimality gap
 	// (default 1%); tightening it trades compile time for solution quality.
@@ -119,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxILPNodes == 0 {
 		c.MaxILPNodes = 1500
-	}
-	if c.ILPTimeout == 0 {
-		c.ILPTimeout = 400 * time.Millisecond
 	}
 	if c.ILPRelGap == 0 {
 		c.ILPRelGap = 0.01

@@ -14,11 +14,10 @@ import (
 	"repro/internal/core"
 )
 
-// goldenConfig bounds every ILP solve by deterministic node and
-// iteration budgets instead of wall time: truncation points are then
-// machine-independent, so the figure speedups are reproducible numbers
-// worth pinning. (The production default config trades this for a 400ms
-// per-solve timeout and is deliberately NOT pinned.)
+// goldenConfig bounds every ILP solve by a small deterministic node
+// budget, so the four-figure sweep stays fast and its truncation points
+// are machine-independent; the figure speedups are then reproducible
+// numbers worth pinning. The wall-clock cap is only a safety net.
 func goldenConfig() core.Config {
 	return core.Config{
 		MaxILPNodes: 60,

@@ -6,24 +6,80 @@ import (
 )
 
 // luFactor maintains an invertible representation of the simplex basis
-// matrix B: a dense LU factorization with partial pivoting, plus a
+// matrix B: an LU factorization with partial pivoting, plus a
 // product-form eta file for the pivots applied since the last
 // refactorization. FTRAN solves Bx = v, BTRAN solves Bᵀy = v.
 //
-// The basis dimension is the row count m, which for the parallelizer's
-// region models is a few hundred at most, so a dense O(m³/3) refactor
-// every refactorEvery pivots and O(m²) triangular solves are cheap — the
-// former dense tableau was O(m·n) per pivot over the full column space.
+// Region-model bases are mostly slack unit columns, so L and U are
+// mostly exact zeros, and a dense factor spends nearly all its time on
+// them. This one keeps nonzeros only: the elimination walks per-row and
+// per-column nonzero lists that grow on fill-in, row swaps are
+// permutation updates, and the triangular solves scatter along the
+// factor stored by column (FTRAN) and by row (BTRAN). Work is
+// proportional to the factor's nonzeros, not to m².
+//
+// The arithmetic is dense Doolittle with partial pivoting — the largest
+// |a| pivots, ties going to the smallest current position — restricted
+// to nonzeros: every nonzero of L, U and of a solve's result receives the
+// same operations in the same order as in the dense factor, so pivots
+// and results agree bit for bit (an exact zero may differ in sign only).
+// The dense factor is kept as the test oracle in luref_test.go.
 type luFactor struct {
-	m    int
-	lu   []float64 // m×m row-major, L (unit diag) and U in place
-	lut  []float64 // transpose of lu: row k holds column k of L and U
-	piv  []int     // row swaps applied during factorization
+	m   int
+	piv []int32 // row swaps applied during factorization
+
+	// The factor, stored twice. Column k of L and U is
+	// colNZ[colPtr[k]:colPtr[k+1]] by ascending position (row after
+	// pivoting), with its diagonal at colDiag[k]: U before it, L after.
+	// Row i is rowNZ[rowPtr[i]:rowPtr[i+1]] by ascending column, with
+	// its diagonal at rowDiag[i]: L before it, U after. Exact zeros are
+	// left out; nzBuf backs both stores (after urow).
+	colPtr, colDiag []int32
+	rowPtr, rowDiag []int32
+	colNZ, rowNZ    []luNZ
+	nzBuf           []luNZ
+
+	// Elimination workspace, reused across factorizations. ents holds
+	// the active matrix's entries, linked per row and per column from
+	// rowHead/colHead (-1 ends a list); at maps row*m+col to an ents
+	// index + 1 (0: no entry), and the next factorization clears it;
+	// pos and rowAt map an original row to its position and back. In
+	// one elimination step lcol lists column k's entries at positions
+	// ≥ k and urow copies the pivot row's U part. iw backs at, piv and
+	// every m-length int32 array; urow is the head of nzBuf.
+	ents             []luEnt
+	at               []int32
+	rowHead, colHead []int32
+	pos, rowAt       []int32
+	lcol             []int32
+	urow             []luNZ
+	iw               []int32
+
+	// lastP and lastBasis record what the LU part factorizes (lastP is
+	// nil when nothing valid is held).
+	lastP     *prob
+	lastBasis []int32
+
 	etas []etaVec
 	// etaIdx/etaVal back every eta's idx/val slices; truncated (not
 	// freed) at refactorization so steady-state updates allocate nothing.
 	etaIdx []int32
 	etaVal []float64
+}
+
+// luNZ is one stored factor entry: a position (column store) or a
+// column (row store), and its value.
+type luNZ struct {
+	i int32
+	v float64
+}
+
+// luEnt is one entry of the matrix under elimination, by original row
+// and column, linked to the next entry of its row and of its column.
+type luEnt struct {
+	v            float64
+	r, c         int32
+	nextR, nextC int32
 }
 
 // etaVec is one product-form update: after pivoting column w into basis
@@ -36,10 +92,11 @@ type etaVec struct {
 }
 
 // refactorEvery bounds the eta file length before a fresh factorization.
-// With the scatter-form triangular solves the O(m³/3) refactorization is
-// the dominant cost, so the eta file is allowed to grow long: applying an
-// eta is O(nnz) and the numerical-hygiene refresh in dual/primal catches
-// drift well before it bites.
+// Applying an eta is O(nnz), and the numerical-hygiene refresh in
+// dual/primal catches drift well before it bites. The length was tuned
+// when refactorizing was a dense O(m³/3) job; a refactorization now costs
+// about as much as a few solves, but the length is kept because it fixes
+// where rounding restarts, and so the pivots and plans.
 const refactorEvery = 96
 
 var errSingular = errors.New("singular basis")
@@ -48,98 +105,236 @@ var errSingular = errors.New("singular basis")
 // (one column index per row) gathered from p. Existing etas are dropped.
 func (f *luFactor) factorize(p *prob, basis []int) error {
 	m := p.m
-	f.m = m
-	if cap(f.lu) < m*m {
-		f.lu = make([]float64, m*m)
+	if f.iw == nil || f.m != m {
+		f.alloc(m)
 	}
-	f.lu = f.lu[:m*m]
-	for i := range f.lu {
-		f.lu[i] = 0
-	}
-	if cap(f.piv) < m {
-		f.piv = make([]int, m)
-	}
-	f.piv = f.piv[:m]
 	f.etas = f.etas[:0]
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
-	// Gather basis columns: lu[i*m+k] = A[i][basis[k]].
+	if f.holds(p, basis) {
+		return nil
+	}
+	f.lastP = nil
+	for _, e := range f.ents {
+		f.at[int(e.r)*m+int(e.c)] = 0
+	}
+	f.ents = f.ents[:0]
+	for i := 0; i < m; i++ {
+		f.rowHead[i], f.colHead[i] = -1, -1
+		f.pos[i], f.rowAt[i] = int32(i), int32(i)
+	}
+	// Gather basis columns: entry (i, k) = A[i][basis[k]].
 	for k, j := range basis {
 		if r, ok := p.slackCol(j); ok {
-			f.lu[r*m+k] = 1
+			f.set(r, k, 1)
 			continue
 		}
 		for at := p.colPtr[j]; at < p.colPtr[j+1]; at++ {
-			f.lu[int(p.rowIdx[at])*m+k] = p.colVal[at]
+			f.set(int(p.rowIdx[at]), k, p.colVal[at])
 		}
 	}
-	// Doolittle with partial pivoting.
+	if err := f.eliminate(); err != nil {
+		return err
+	}
+	f.build()
+	for k, j := range basis {
+		f.lastBasis[k] = int32(j)
+	}
+	f.lastP = p
+	return nil
+}
+
+// holds reports whether the LU part already factorizes this basis of p.
+// The LU depends on the basis columns alone, so refactorizing such a
+// basis only has to drop the etas — which branch-and-bound restarts and
+// the numerical-hygiene refresh ask for in about a third of all
+// factorizations of a cold plan.
+func (f *luFactor) holds(p *prob, basis []int) bool {
+	if f.lastP != p {
+		return false
+	}
+	for k, j := range basis {
+		if f.lastBasis[k] != int32(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// alloc sizes the workspace for an m-row basis.
+func (f *luFactor) alloc(m int) {
+	f.m = m
+	f.iw = make([]int32, m*m+12*m+2)
+	f.lastP = nil
+	w := f.iw
+	take := func(n int) []int32 {
+		s := w[:n:n]
+		w = w[n:]
+		return s
+	}
+	f.at = take(m * m)
+	f.piv = take(m)
+	f.colPtr, f.colDiag = take(m+1), take(m)
+	f.rowPtr, f.rowDiag = take(m+1), take(m)
+	f.rowHead, f.colHead = take(m), take(m)
+	f.pos, f.rowAt = take(m), take(m)
+	f.lcol = take(m)
+	f.lastBasis = take(m)
+	f.ents = make([]luEnt, 0, 4*m)
+	f.nzBuf = make([]luNZ, 9*m)
+	f.urow = f.nzBuf[:m:m]
+}
+
+// set stores entry (r, c) = v and returns its ents index.
+func (f *luFactor) set(r, c int, v float64) int32 {
+	at := &f.at[r*f.m+c]
+	if *at != 0 {
+		f.ents[*at-1].v = v
+		return *at - 1
+	}
+	e := int32(len(f.ents))
+	f.ents = append(f.ents, luEnt{v: v, r: int32(r), c: int32(c), nextR: f.rowHead[r], nextC: f.colHead[c]})
+	f.rowHead[r], f.colHead[c] = e, e
+	*at = e + 1
+	return e
+}
+
+// eliminate runs Doolittle's elimination with partial pivoting over the
+// gathered entries. Step k walks column k's list once for the pivot and
+// the rows to multiply, then updates each multiplied row at the pivot
+// row's U entries only; a missing entry there is fill-in, created as
+// zero first so it takes the same subtraction as a dense cell.
+func (f *luFactor) eliminate() error {
+	m := f.m
+	at, pos, rowAt, lcol, urow := f.at, f.pos[:m], f.rowAt[:m], f.lcol[:m], f.urow[:m]
 	for k := 0; k < m; k++ {
-		pr, pv := k, math.Abs(f.lu[k*m+k])
-		for i := k + 1; i < m; i++ {
-			if a := math.Abs(f.lu[i*m+k]); a > pv {
+		ents := f.ents // set below may grow it
+		// The dense rule: the largest |a| at positions ≥ k, position k
+		// first, then strictly larger only — so ties go to the smallest
+		// position.
+		pr, pv := k, 0.0
+		if e := at[int(rowAt[k])*m+k]; e != 0 {
+			pv = math.Abs(ents[e-1].v)
+		}
+		nl := 0
+		for e := f.colHead[k]; e >= 0; e = ents[e].nextC {
+			i := int(pos[ents[e].r])
+			if i < k {
+				continue
+			}
+			lcol[nl] = e
+			nl++
+			if a := math.Abs(ents[e].v); a > pv || a == pv && i < pr {
 				pr, pv = i, a
 			}
 		}
 		if pv < 1e-11 {
 			return errSingular
 		}
-		f.piv[k] = pr
+		f.piv[k] = int32(pr)
 		if pr != k {
-			rk, rp := f.lu[k*m:k*m+m], f.lu[pr*m:pr*m+m]
-			for j := 0; j < m; j++ {
-				rk[j], rp[j] = rp[j], rk[j]
+			rk, rp := rowAt[k], rowAt[pr]
+			rowAt[k], rowAt[pr] = rp, rk
+			pos[rp], pos[rk] = int32(k), int32(pr)
+		}
+		prow := rowAt[k]
+		n := 0
+		for e := f.rowHead[prow]; e >= 0; e = ents[e].nextR {
+			if c := ents[e].c; int(c) > k {
+				urow[n] = luNZ{c, ents[e].v}
+				n++
 			}
 		}
-		inv := 1 / f.lu[k*m+k]
-		for i := k + 1; i < m; i++ {
-			l := f.lu[i*m+k] * inv
+		inv := 1 / ents[at[int(prow)*m+k]-1].v
+		for _, e := range lcol[:nl] {
+			r := f.ents[e].r
+			if r == prow {
+				continue
+			}
+			l := f.ents[e].v * inv
 			if l == 0 {
 				continue
 			}
-			f.lu[i*m+k] = l
-			ri, rk := f.lu[i*m:i*m+m], f.lu[k*m:k*m+m]
-			for j := k + 1; j < m; j++ {
-				ri[j] -= l * rk[j]
-			}
-		}
-	}
-	// Transposed copy: the triangular solves below walk columns of L/U
-	// in scatter form, which become contiguous rows of lut.
-	if cap(f.lut) < m*m {
-		f.lut = make([]float64, m*m)
-	}
-	f.lut = f.lut[:m*m]
-	const tb = 32 // cache-blocked transpose
-	for ib := 0; ib < m; ib += tb {
-		ie := ib + tb
-		if ie > m {
-			ie = m
-		}
-		for jb := 0; jb < m; jb += tb {
-			je := jb + tb
-			if je > m {
-				je = m
-			}
-			for i := ib; i < ie; i++ {
-				for j := jb; j < je; j++ {
-					f.lut[j*m+i] = f.lu[i*m+j]
+			f.ents[e].v = l
+			row := at[int(r)*m : int(r)*m+m]
+			for _, u := range urow[:n] {
+				t := row[u.i] - 1
+				if t < 0 {
+					t = f.set(int(r), int(u.i), 0)
 				}
+				f.ents[t].v -= l * u.v
 			}
 		}
 	}
 	return nil
 }
 
+// build stores the eliminated entries by column and by row, dropping
+// exact zeros. Walking positions in order fills each column ascending,
+// so column k's diagonal lands right after its U part; walking columns
+// in order does the same for each row.
+func (f *luFactor) build() {
+	m := f.m
+	ents, pos := f.ents, f.pos
+	colPtr, rowPtr := f.colPtr[:m+1], f.rowPtr[:m+1]
+	for i := range colPtr {
+		colPtr[i], rowPtr[i] = 0, 0
+	}
+	for _, e := range ents {
+		if e.v != 0 {
+			colPtr[e.c+1]++
+			rowPtr[pos[e.r]+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		colPtr[i+1] += colPtr[i]
+		rowPtr[i+1] += rowPtr[i]
+	}
+	nnz := int(colPtr[m])
+	if len(f.nzBuf) < m+2*nnz {
+		f.nzBuf = make([]luNZ, m+3*nnz)
+		f.urow = f.nzBuf[:m:m]
+	}
+	colNZ, rowNZ := f.nzBuf[m:m+nnz], f.nzBuf[m+nnz:m+2*nnz]
+	f.colNZ, f.rowNZ = colNZ, rowNZ
+	next := f.lcol[:m]
+	for i := range next {
+		next[i] = colPtr[i]
+	}
+	for i, r := range f.rowAt[:m] {
+		f.colDiag[i] = next[i]
+		for e := f.rowHead[r]; e >= 0; e = ents[e].nextR {
+			if v := ents[e].v; v != 0 {
+				c := ents[e].c
+				colNZ[next[c]] = luNZ{int32(i), v}
+				next[c]++
+			}
+		}
+	}
+	for i := range next {
+		next[i] = rowPtr[i]
+	}
+	for c, h := range f.colHead[:m] {
+		f.rowDiag[c] = next[c]
+		for e := h; e >= 0; e = ents[e].nextC {
+			if v := ents[e].v; v != 0 {
+				i := pos[ents[e].r]
+				rowNZ[next[i]] = luNZ{int32(c), v}
+				next[i]++
+			}
+		}
+	}
+}
+
 // luSolve solves (LU)x = Pv in place. Both triangular phases run in
-// scatter (outer-product) form over rows of the transposed factor:
-// column k of L/U is contiguous in lut, and a zero intermediate skips
-// its whole column update. Simplex right-hand sides are sparse (the
-// entering column for FTRAN), so most columns are skipped outright.
+// scatter (outer-product) form down the columns of the factor, and a
+// zero intermediate skips its whole column update. Simplex right-hand
+// sides are sparse (the entering column for FTRAN), so most columns are
+// skipped outright.
 func (f *luFactor) luSolve(x []float64) {
 	m := f.m
 	for k := 0; k < m; k++ {
-		if p := f.piv[k]; p != k {
+		if p := int(f.piv[k]); p != k {
 			x[k], x[p] = x[p], x[k]
 		}
 	}
@@ -149,9 +344,8 @@ func (f *luFactor) luSolve(x []float64) {
 		if t == 0 {
 			continue
 		}
-		ck := f.lut[k*m : k*m+m]
-		for i := k + 1; i < m; i++ {
-			x[i] -= ck[i] * t
+		for _, e := range f.colNZ[f.colDiag[k]+1 : f.colPtr[k+1]] {
+			x[e.i] -= e.v * t
 		}
 	}
 	// U x = y: backward scatter up column k.
@@ -160,19 +354,19 @@ func (f *luFactor) luSolve(x []float64) {
 		if t == 0 {
 			continue
 		}
-		ck := f.lut[k*m : k*m+k]
-		t /= f.lut[k*m+k]
+		d := f.colDiag[k]
+		t /= f.colNZ[d].v
 		x[k] = t
-		for i := 0; i < k; i++ {
-			x[i] -= ck[i] * t
+		for _, e := range f.colNZ[f.colPtr[k]:d] {
+			x[e.i] -= e.v * t
 		}
 	}
 }
 
-// luSolveT solves (LU)ᵀw = v and applies Pᵀ in place. Scatter form over
-// rows of lu: row k of U (resp. L) is column k of Uᵀ (resp. Lᵀ), so both
-// phases get contiguous access plus the zero-skip — BTRAN right-hand
-// sides are unit vectors, making the skip the common case.
+// luSolveT solves (LU)ᵀw = v and applies Pᵀ in place, in scatter form
+// along the rows of the factor: row k of U (resp. L) is column k of Uᵀ
+// (resp. Lᵀ). BTRAN right-hand sides are unit vectors, making the
+// zero-skip the common case.
 func (f *luFactor) luSolveT(x []float64) {
 	m := f.m
 	// Uᵀ z = v: forward scatter along row k of U.
@@ -181,11 +375,11 @@ func (f *luFactor) luSolveT(x []float64) {
 		if t == 0 {
 			continue
 		}
-		rk := f.lu[k*m : k*m+m]
-		t /= rk[k]
+		d := f.rowDiag[k]
+		t /= f.rowNZ[d].v
 		x[k] = t
-		for i := k + 1; i < m; i++ {
-			x[i] -= rk[i] * t
+		for _, e := range f.rowNZ[d+1 : f.rowPtr[k+1]] {
+			x[e.i] -= e.v * t
 		}
 	}
 	// Lᵀ w = z: backward scatter along row k of L (unit diagonal).
@@ -194,13 +388,12 @@ func (f *luFactor) luSolveT(x []float64) {
 		if t == 0 {
 			continue
 		}
-		rk := f.lu[k*m : k*m+k]
-		for i := 0; i < k; i++ {
-			x[i] -= rk[i] * t
+		for _, e := range f.rowNZ[f.rowPtr[k]:f.rowDiag[k]] {
+			x[e.i] -= e.v * t
 		}
 	}
 	for k := m - 1; k >= 0; k-- {
-		if p := f.piv[k]; p != k {
+		if p := int(f.piv[k]); p != k {
 			x[k], x[p] = x[p], x[k]
 		}
 	}

@@ -150,9 +150,9 @@ var parityCases = []struct {
 	{"float function returning an int", `float r; float f(void) { return 1; } void main(void) { r = f() / 2; }`, "r=0"},
 	{"int function returning a float", `int r; int g(void) { return 3.5; } void main(void) { r = g() % 2 + (g() + 0.5 > 3.9); }`, "r=2"},
 	{"void call as a value", `int r; void v(void) { } void main(void) { r = 7; r = v(); }`, "r=0"},
-	{"array used as a scalar", `float r; float a[2] = {3.0, 4.0}; void main(void) { int c = 1; if (a) { r = 9.0; } r = r + (c ? a : 1.0) + 1; }`, "r=1"},
-	{"array initializer from an array", `int r; int a[2] = {5, 6}; int b[2] = {a, 2}; void main(void) { r = b[0] * 10 + b[1]; }`, "r=2"},
-	{"array with a scalar initializer", `int r; int k; int bump(void) { k = k + 1; return k; } void main(void) { int a[2] = bump(); r = a[0] + k; }`, "r=1"},
+	{"array element used as a scalar", `float r; float a[2] = {3.0, 4.0}; void main(void) { int c = 1; if (a[1]) { r = 9.0; } r = r + (c ? a[0] : 1.0) + 1; }`, "r=13"},
+	{"array initializer from an array element", `int r; int a[2] = {5, 6}; int b[2] = {a[1], 2}; void main(void) { r = b[0] * 10 + b[1]; }`, "r=62"},
+	{"array initializer list of calls", `int r; int k; int bump(void) { k = k + 1; return k; } void main(void) { int a[2] = {bump(), bump()}; r = a[0] * 10 + a[1] + k; }`, "r=14"},
 	{"decl in a loop is fresh and zeroed", `int r; void main(void) { for (int i = 0; i < 3; i++) { int x; int a[2]; r = r + x + a[0]; x = 5; a[0] = 7; } }`, "r=0"},
 	{"int ops go through AsInt", `int r; int h(void) { return 7.9; } void main(void) { r = (h() & 3) + (h() | 8) + (h() ^ 1) + (h() >> 1) + (h() << 1); }`, "r=41"},
 	{"shifts mask with 63", `int r; void main(void) { r = (1 << 65) + (256 >> 66); }`, "r=66"},

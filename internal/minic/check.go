@@ -65,13 +65,7 @@ func CheckAll(prog *Program) []Diagnostic {
 	// Globals first (in order; forward references between globals are not
 	// allowed, matching C initializer rules).
 	for _, g := range prog.Globals {
-		if g.Init != nil {
-			c.exprType(g.Init)
-		}
-		c.checkStorage(g.Pos, g.Name, g.Type, g.List)
-		if g.Type.IsArray() && g.Init != nil {
-			c.errorf(g.Pos, "type", "array %s needs a brace initializer", g.Name)
-		}
+		c.checkStorage(g.Pos, g.Name, g.Type, g.Init, g.List)
 		g.Sym = c.declare(g.Pos, g.Name, SymGlobal, g.Type)
 	}
 	// Check for duplicate function names and builtin shadowing.
@@ -94,12 +88,19 @@ func CheckAll(prog *Program) []Diagnostic {
 	return c.diags
 }
 
-// checkStorage checks the brace list of a declaration and the storage
-// it declares: a scalar takes no brace list, an array no more
-// initializers than elements, and arrays stay within maxArrayElems.
-func (c *checker) checkStorage(pos Pos, name string, t Type, list []Expr) {
+// checkStorage checks the initializers of a declaration and the storage
+// it declares: every initializer is a scalar, a scalar takes no brace
+// list, an array no plain initializer and no more initializers than
+// elements, and arrays stay within maxArrayElems.
+func (c *checker) checkStorage(pos Pos, name string, t Type, init Expr, list []Expr) {
+	if init != nil {
+		c.scalar(init, "an initializer")
+		if t.IsArray() {
+			c.errorf(pos, "type", "array %s needs a brace initializer", name)
+		}
+	}
 	for _, e := range list {
-		c.exprType(e)
+		c.scalar(e, "an initializer")
 	}
 	if t.IsScalar() {
 		if list != nil {
@@ -199,19 +200,14 @@ func (c *checker) checkBlock(b *BlockStmt, newScope bool) {
 func (c *checker) checkStmt(s Stmt) {
 	switch st := s.(type) {
 	case *DeclStmt:
-		if st.Init != nil {
-			if t := c.exprType(st.Init); !t.IsScalar() {
-				c.errorf(st.Pos, "type", "cannot initialize %s with an array value", st.Name)
-			}
-		}
-		c.checkStorage(st.Pos, st.Name, st.Type, st.List)
+		c.checkStorage(st.Pos, st.Name, st.Type, st.Init, st.List)
 		st.Sym = c.declare(st.Pos, st.Name, SymLocal, st.Type)
 	case *ExprStmt:
 		c.exprType(st.X)
 	case *BlockStmt:
 		c.checkBlock(st, true)
 	case *IfStmt:
-		c.exprType(st.Cond)
+		c.scalar(st.Cond, "a condition")
 		c.checkBlock(st.Then, true)
 		if st.Else != nil {
 			c.checkStmt(st.Else)
@@ -223,7 +219,7 @@ func (c *checker) checkStmt(s Stmt) {
 			c.checkStmt(st.Init)
 		}
 		if st.Cond != nil {
-			c.exprType(st.Cond)
+			c.scalar(st.Cond, "a condition")
 		}
 		if st.Post != nil {
 			c.exprType(st.Post)
@@ -232,7 +228,7 @@ func (c *checker) checkStmt(s Stmt) {
 		defer func() { c.loop-- }()
 		c.checkBlock(st.Body, true)
 	case *WhileStmt:
-		c.exprType(st.Cond)
+		c.scalar(st.Cond, "a condition")
 		c.loop++
 		defer func() { c.loop-- }()
 		c.checkBlock(st.Body, true)
@@ -333,9 +329,9 @@ func (c *checker) exprType(e Expr) Type {
 			return ScalarType(Int)
 		}
 	case *CondExpr:
-		c.exprType(ex.Cond)
-		tt := c.exprType(ex.Then)
-		et := c.exprType(ex.Else)
+		c.scalar(ex.Cond, "a condition")
+		tt := c.scalar(ex.Then, "a ?: operand")
+		et := c.scalar(ex.Else, "a ?: operand")
 		if tt.Base == Float || et.Base == Float {
 			return ScalarType(Float)
 		}
@@ -377,6 +373,17 @@ func (c *checker) exprType(e Expr) Type {
 	}
 	c.errorf(Pos{}, "internal", "unhandled expression %T", e)
 	return ScalarType(Int)
+}
+
+// scalar checks e, reporting a whole array where the grammar position
+// (what) needs a scalar value; the result is a scalar placeholder then.
+func (c *checker) scalar(e Expr, what string) Type {
+	t := c.exprType(e)
+	if !t.IsScalar() {
+		c.errorf(e.NodePos(), "type", "%s must be a scalar, not an array of type %s", what, t)
+		return ScalarType(t.Base)
+	}
+	return t
 }
 
 func (c *checker) callType(ex *CallExpr) Type {

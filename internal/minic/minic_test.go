@@ -184,6 +184,11 @@ func TestCheckerErrors(t *testing.T) {
 		{"global scalar with a brace initializer", `int x = {1}; void main(void) { }`, "1:5: error: scalar x cannot take a brace initializer"},
 		{"array past the element bound", `void main(void) { float a[1025][1024]; }`, "1:25: error: array a of type float[1025][1024] holds more than 1048576 elements"},
 		{"arrays past the program bound", `int a[1024][512]; void main(void) { int b[512][1025]; }`, "1:41: error: array b takes the program's arrays past 1048576 elements"},
+		{"array used as a scalar", `float r; float a[2] = {3.0, 4.0}; void main(void) { int c = 1; if (a) { r = 9.0; } r = r + (c ? a : 1.0) + 1; }`, "1:68: error: a condition must be a scalar, not an array of type float[2]\n1:97: error: a ?: operand must be a scalar, not an array of type float[2]"},
+		{"array initializer from an array", `int r; int a[2] = {5, 6}; int b[2] = {a, 2}; void main(void) { r = b[0] * 10 + b[1]; }`, "1:39: error: an initializer must be a scalar, not an array of type int[2]"},
+		{"array with a scalar initializer", `int r; int k; int bump(void) { k = k + 1; return k; } void main(void) { int a[2] = bump(); r = a[0] + k; }`, "1:77: error: array a needs a brace initializer"},
+		{"array in a loop condition", `int m[2][3]; void main(void) { while (m[1]) { } for (; m; ) { } }`, "1:39: error: a condition must be a scalar, not an array of type int[3]\n1:56: error: a condition must be a scalar, not an array of type int[2][3]"},
+		{"global initialized from an array", `int a[2]; int x = a; void main(void) { }`, "1:19: error: an initializer must be a scalar, not an array of type int[2]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
