@@ -21,7 +21,6 @@
 //	-stats             print per-region solver statistics and metrics
 //	-lint              run the static diagnostics and exit
 //	-verify            report the race-and-budget audit of every solution
-//	-region-workers N  solve independent regions on N workers
 //	-store-cap N       cache region solves in an N-entry store
 //	-metrics-addr a    serve live /metrics, /healthz and /debug/pprof/ on a
 //	-events f.jsonl    stream structured telemetry events to a JSONL file
@@ -68,7 +67,6 @@ func main() {
 		statsFlag    = flag.Bool("stats", false, "print per-region ILP solver statistics and the metrics table")
 		lintFlag     = flag.Bool("lint", false, "run the static diagnostics (uninitialized use, array bounds, unused locals, unreachable code) and exit without parallelizing")
 		verifyFlag   = flag.Bool("verify", false, "re-run the race-and-budget verifier over every produced solution and print a report")
-		workersFlag  = flag.Int("region-workers", 0, "solve independent regions of one HTG level on this many workers (<=1 sequential; output is byte-identical either way)")
 		storeCapFlag = flag.Int("store-cap", 0, "enable the region-solve store with this entry capacity (0 disables; solves are cached by content address and replayed on repeats)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live telemetry (/metrics Prometheus text, /healthz, /events, /debug/pprof/) on this address, e.g. localhost:9090")
 		eventsFlag   = flag.String("events", "", "stream structured telemetry events (span open/close, solver incumbents, store evictions, worker stalls) to this JSONL file")
@@ -176,7 +174,6 @@ func main() {
 	if *verbose {
 		opts.Tracer.SetLogger(tele.Out)
 	}
-	opts.RegionWorkers = *workersFlag
 	if err := clitelemetry.ValidateStoreCap(*storeCapFlag, "disables the store"); err != nil {
 		fatal(err)
 	}

@@ -16,7 +16,6 @@
 //	-queue n            admission queue depth; beyond it requests get 429 (default 64)
 //	-timeout d          default per-request wait cap, e.g. 90s (default 2m)
 //	-store-cap n        solution store capacity (0 = default sizing)
-//	-region-workers n   per-solve region concurrency (0/1 = sequential)
 //	-events f.jsonl     stream structured telemetry events to a JSONL file
 //	-drain-timeout d    how long SIGTERM waits for in-flight solves (default 2m)
 //
@@ -68,7 +67,6 @@ func main() {
 		queueFlag    = flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth; requests beyond queued+running capacity get 429")
 		timeoutFlag  = flag.Duration("timeout", serve.DefaultTimeout, "default per-request wait cap (queue + solve) when the request sets no timeout_ms")
 		storeCapFlag = flag.Int("store-cap", 0, "solution store capacity shared by whole-job results and region solves (0 = default sizing)")
-		regWorkers   = flag.Int("region-workers", 0, "per-solve region concurrency when the request sets no region_workers (0/1 = sequential)")
 		eventsFlag   = flag.String("events", "", "stream structured telemetry events (job queued/coalesced/done, solver incumbents, store evictions) to this JSONL file")
 		drainFlag    = flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown signal waits for in-flight solves before giving up")
 
@@ -107,7 +105,6 @@ func main() {
 		QueueDepth:     *queueFlag,
 		DefaultTimeout: *timeoutFlag,
 		Store:          solstore.New(solstore.Options{Capacity: *storeCapFlag, Metrics: reg, Events: tele.Events}),
-		RegionWorkers:  *regWorkers,
 		Metrics:        reg,
 		Events:         tele.Events,
 	})

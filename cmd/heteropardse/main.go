@@ -21,7 +21,6 @@
 //	-workers n         worker-pool size (default NumCPU)
 //	-ilp-nodes n       per-ILP branch-and-bound node budget (default 60; ~20 for big sweeps)
 //	-max-tasks n       per-region task-bound cap (default 4)
-//	-region-workers n  per-evaluation region-solve workers (default 1 = sequential)
 //	-store-cap n       capacity of the store holding outcomes and region solves (0 = default sizing)
 //	-stats             print cache and solver statistics to stderr
 //	-trace out.json    write a Chrome trace_event file of the sweep
@@ -63,7 +62,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker-pool size (0 = NumCPU)")
 		ilpNodes   = flag.Int("ilp-nodes", 0, "per-ILP branch-and-bound node budget (0 = sweep default 60)")
 		maxTasks   = flag.Int("max-tasks", 0, "per-region task-bound cap (0 = sweep default 4; raise for better plans on big platforms, at steep solve cost)")
-		regWorkers = flag.Int("region-workers", 0, "per-evaluation region-solve workers (0/1 = sequential; output is byte-identical per width)")
 		storeCap   = flag.Int("store-cap", 0, "capacity of the store holding evaluation outcomes and region solves, shared across all sweep points (0 = default sizing)")
 		statsFlag  = flag.Bool("stats", false, "print cache and solver statistics to stderr")
 		traceFlag  = flag.String("trace", "", "write a Chrome trace_event JSON file of the sweep")
@@ -158,9 +156,6 @@ func main() {
 	}
 	if *maxTasks > 0 {
 		cfg.MaxTasksPerRegion = *maxTasks
-	}
-	if *regWorkers > 0 {
-		cfg.RegionWorkers = *regWorkers
 	}
 	// One bounded store holds the evaluation outcomes and the region
 	// solves; the engine threads it through every evaluation so

@@ -521,7 +521,7 @@ func (l *linter) checkCall(call *ast.CallExpr, info *types.Info) *Finding {
 		return &Finding{
 			Pos:  l.fset.Position(call.Pos()),
 			Rule: "numcpu",
-			Msg:  fmt.Sprintf("runtime.%s makes behavior depend on the host machine; take widths from explicit configuration (e.g. core.Config.RegionWorkers) or waive if results stay machine-independent", fn.Name()),
+			Msg:  fmt.Sprintf("runtime.%s makes behavior depend on the host machine; take widths from explicit configuration (e.g. dse.Engine.Workers) or waive if results stay machine-independent", fn.Name()),
 		}
 	case fn.Pkg().Path() == "fmt" && printFamily[fn.Name()]:
 		if typ := l.mapArgType(call, info); typ != "" {

@@ -123,11 +123,6 @@ type Options struct {
 	// SkipSimulation omits the MPSoC measurement (faster; the report's
 	// Measured* fields stay zero).
 	SkipSimulation bool
-	// RegionWorkers bounds how many independent regions of one HTG
-	// level are solved concurrently (sequential when <= 1). Any value
-	// produces byte-identical output: results merge in deterministic
-	// region order.
-	RegionWorkers int
 	// Store, when non-nil, caches region ILP solves by content address
 	// so repeated or related Parallelize calls (e.g. the same program
 	// on both scenarios of a platform) skip identical solves. See
@@ -222,7 +217,6 @@ func Parallelize(source string, opts Options) (*Report, error) {
 		ILPTimeout:       opts.MaxILPTime,
 		DisableChunking:  opts.DisableChunking,
 		EnablePipelining: opts.EnablePipelining,
-		RegionWorkers:    opts.RegionWorkers,
 		Store:            opts.Store,
 		Tracer:           tr,
 		Metrics:          opts.Metrics,

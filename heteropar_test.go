@@ -60,10 +60,9 @@ func TestParallelizeEndToEnd(t *testing.T) {
 func TestParallelizeWithStoreAndWorkers(t *testing.T) {
 	store := heteropar.NewSolutionStore(1024)
 	opts := heteropar.Options{
-		Platform:      heteropar.PlatformA(),
-		Scenario:      heteropar.Accelerator,
-		RegionWorkers: 4,
-		Store:         store,
+		Platform: heteropar.PlatformA(),
+		Scenario: heteropar.Accelerator,
+		Store:    store,
 	}
 	rep, err := heteropar.Parallelize(demoSrc, opts)
 	if err != nil {

@@ -24,15 +24,13 @@ func TestConfigFingerprint(t *testing.T) {
 	if instr.Fingerprint() != expl.Fingerprint() {
 		t.Errorf("observer changed the fingerprint")
 	}
-	// Scheduling width and the shared store must not either: both are
-	// guaranteed output-neutral (deterministic unit merge; region keys
-	// cover every solver-visible input), so cached whole-run outcomes
-	// stay valid across worker counts and store configurations.
+	// The shared store must not either: it is guaranteed output-neutral
+	// (region keys cover every solver-visible input), so cached
+	// whole-run outcomes stay valid across store configurations.
 	sched := expl
-	sched.RegionWorkers = 8
 	sched.Store = solstore.New(solstore.Options{})
 	if sched.Fingerprint() != expl.Fingerprint() {
-		t.Errorf("RegionWorkers/Store changed the fingerprint")
+		t.Errorf("Store changed the fingerprint")
 	}
 	// Every solver-relevant knob must affect it.
 	muts := []struct {

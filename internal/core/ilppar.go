@@ -552,9 +552,13 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 			})
 		}
 	}
-	res := ilp.Solve(m, opt)
+	ws := p.ws
+	if ws == nil {
+		ws = new(ilp.Workspace)
+	}
+	res := ws.Solve(m, opt)
 	dur := time.Since(start)
-	p.recordSolve(SolveRecord{
+	p.stats.record(SolveRecord{
 		Region:     meta.region,
 		Model:      meta.model,
 		Class:      meta.class,
@@ -577,7 +581,6 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		reg.Counter("ilp.bb_nodes").Add(int64(res.Nodes))
 		reg.Counter("ilp.lp_iters").Add(int64(res.LPIters))
 		reg.Gauge("ilp.gap.max").Max(res.Gap)
-		reg.Gauge("ilp.gap.last").Set(res.Gap)
 		reg.Histogram("ilp.solve_time").Observe(dur)
 		reg.Counter("ilp.warm_starts").Add(int64(res.WarmStarts))
 		reg.Counter("ilp.warm_hits").Add(int64(res.WarmHits))

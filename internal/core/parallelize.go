@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/htg"
+	"repro/internal/ilp"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/solstore"
@@ -66,11 +67,6 @@ type Config struct {
 	// DisableHierarchy runs a single flat ILP over the root region only
 	// (ablation; inner nodes keep sequential candidates only).
 	DisableHierarchy bool
-	// RegionWorkers bounds the worker pool solving a node's independent
-	// region sweeps concurrently (0 or 1 = sequential). Results are
-	// merged in deterministic unit order, so every output — solutions,
-	// stats tables, reports — is byte-identical for any worker count.
-	RegionWorkers int
 	// Store, when non-nil, is the shared region-solve store: every
 	// region ILP is looked up by its canonical fingerprint before
 	// solving, and solved results (including proven "no improvement"
@@ -103,9 +99,8 @@ type Config struct {
 // two configs with equal fingerprints are interchangeable for caching.
 // The observability sinks (Tracer, Metrics, Events) and the Audit hook are
 // deliberately excluded: they never change which solutions are produced,
-// only whether defective ones are reported. RegionWorkers and Store are
-// excluded for the same reason — scheduling width and cache reuse are
-// guaranteed not to change any output.
+// only whether defective ones are reported. Store is excluded for the
+// same reason — cache reuse is guaranteed not to change any output.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
 	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;pipe:%t;hier:%t",
@@ -292,16 +287,21 @@ func (r *Result) EstimatedSpeedup(g *htg.Graph) float64 {
 	return r.SequentialTimeNs(g) / r.Best.TimeNs
 }
 
-// Parallelizer drives Algorithm 1 over one HTG.
+// Parallelizer drives Algorithm 1 over one HTG. The root parallelizer
+// of a run owns the per-node sets; each region unit and store
+// computation runs on a scratch parallelizer of its own (see scratch),
+// whose stats collect that unit's records for the ordered merge.
 type Parallelizer struct {
 	pf    *platform.Platform
 	cfg   Config
 	store *solstore.Store
-	// mu guards stats: region units run concurrently when RegionWorkers
-	// exceeds one, and record accumulation must stay safe even though
-	// determinism comes from the ordered unit merge, not the lock.
-	mu    sync.Mutex
 	stats Stats
+	// ws is the ILP workspace of the pool token a unit runs under (nil
+	// outside units: every solve then allocates its own).
+	ws *ilp.Workspace
+	// setsMu guards sets: sibling subtrees are parallelized concurrently.
+	setsMu sync.Mutex
+	sets   map[*htg.Node]*SolutionSet
 }
 
 // Parallelize runs the selected approach on graph g targeting pf with the
@@ -324,17 +324,25 @@ func Parallelize(g *htg.Graph, pf *platform.Platform, mainClass int, approach Ap
 		workPF.TaskCreateNs = pf.TaskCreateNs
 		workMain = 0
 	}
-	p := &Parallelizer{pf: workPF, cfg: cfg.withDefaults(), store: cfg.Store}
-	sets := map[*htg.Node]*SolutionSet{}
-	p.parallelizeNode(g.Root, sets)
-	set := sets[g.Root]
-	best := set.Best(workMain)
+	p := &Parallelizer{pf: workPF, cfg: cfg.withDefaults(), store: cfg.Store,
+		sets: map[*htg.Node]*SolutionSet{}}
+	// Fold the records in depth-first unit order: the order of a
+	// sequential run, whatever the pool width. The last-gap gauge is
+	// set here rather than by the solves, which finish in any order.
+	recs := p.parallelizeNode(g.Root)
+	for _, rec := range recs {
+		p.stats.record(rec)
+	}
+	if len(recs) > 0 {
+		cfg.Metrics.Gauge("ilp.gap.last").Set(recs[len(recs)-1].Gap)
+	}
+	best := p.setOf(g.Root).Best(workMain)
 	if best == nil {
 		best = sequentialSolution(g.Root, workPF, workMain)
 	}
 	res := &Result{
 		Best:      best,
-		Sets:      sets,
+		Sets:      p.sets,
 		Approach:  approach,
 		MainClass: workMain,
 		Platform:  workPF,
@@ -350,35 +358,54 @@ func Parallelize(g *htg.Graph, pf *platform.Platform, mainClass int, approach Ap
 
 // parallelizeNode implements the PARALLELIZE function of Algorithm 1:
 // recurse bottom-up, then extract parallelism for this node once all
-// children carry their parallel sets.
-func (p *Parallelizer) parallelizeNode(n *htg.Node, sets map[*htg.Node]*SolutionSet) {
+// children carry their parallel sets. It returns the solve records of
+// n's subtree in depth-first order: each child's in child order, then
+// n's own in unit order.
+func (p *Parallelizer) parallelizeNode(n *htg.Node) []SolveRecord {
 	set := &SolutionSet{Node: n, ByClass: make([][]*Solution, len(p.pf.Classes))}
 	// Line 7: sequential solutions, one per processor class.
 	for c := range p.pf.Classes {
 		set.ByClass[c] = append(set.ByClass[c], sequentialSolution(n, p.pf, c))
 	}
-	sets[n] = set
+	p.setsMu.Lock()
+	p.sets[n] = set
+	p.setsMu.Unlock()
 	if !n.IsHierarchical() {
-		return // line 8-9
+		return nil // line 8-9
 	}
-	// Lines 11-12: children first.
-	for _, child := range n.Children {
-		p.parallelizeNode(child, sets)
+	// Lines 11-12: children first. Sibling subtrees share nothing but
+	// the sets map, so they are parallelized concurrently; leaves only
+	// get their sequential solutions and stay on this goroutine.
+	childRecs := make([][]SolveRecord, len(n.Children))
+	var inner []int
+	for i, child := range n.Children {
+		if child.IsHierarchical() {
+			inner = append(inner, i)
+		} else {
+			p.parallelizeNode(child)
+		}
+	}
+	fanOut(len(inner), func(k int) {
+		childRecs[inner[k]] = p.parallelizeNode(n.Children[inner[k]])
+	})
+	var recs []SolveRecord
+	for _, r := range childRecs {
+		recs = append(recs, r...)
 	}
 	if p.cfg.DisableHierarchy && n.Kind != htg.KindRoot {
 		// Ablation: no parallelism below the root region.
-		return
+		return recs
 	}
 	if n.TotalCount == 0 {
-		return // never executed: nothing to gain
+		return recs // never executed: nothing to gain
 	}
 	// Lines 14-21: per main class, sweep the task bound downward. Each
 	// (region, class) sweep is one independent unit: the sweep chain is
 	// sequential within itself (the next bound depends on the previous
 	// solution's task count) but shares nothing with its siblings, so
-	// units run concurrently on the RegionWorkers pool and merge back in
-	// unit order — reproducing the sequential solve order exactly.
-	regions := []*regionSpec{p.clusterRegion(p.statementRegion(n, sets), p.cfg.MaxItemsPerILP)}
+	// units run concurrently on the region pool and merge back in unit
+	// order — reproducing the sequential solve order exactly.
+	regions := []*regionSpec{p.clusterRegion(p.statementRegion(n), p.cfg.MaxItemsPerILP)}
 	if !p.cfg.DisableChunking && n.Kind == htg.KindLoop && n.Loop != nil && n.Loop.Parallel {
 		regions = append(regions, p.chunkRegion(n))
 	}
@@ -415,7 +442,7 @@ func (p *Parallelizer) parallelizeNode(n *htg.Node, sets map[*htg.Node]*Solution
 				iters = c.Count
 			}
 		}
-		rs := p.clusterRegion(p.statementRegion(n, sets), p.cfg.MaxItemsPerILP)
+		rs := p.clusterRegion(p.statementRegion(n), p.cfg.MaxItemsPerILP)
 		// Pipelines are created once per loop entry, not per iteration.
 		rs.spawnCount = float64(n.TotalCount)
 		for seqPC := range p.pf.Classes {
@@ -429,8 +456,16 @@ func (p *Parallelizer) parallelizeNode(n *htg.Node, sets map[*htg.Node]*Solution
 		}
 	}
 	p.runUnits(units)
-	p.mergeUnits(set, units)
+	recs = append(recs, mergeUnits(set, units)...)
 	set.prune(p.cfg.MaxCandsPerClass)
+	return recs
+}
+
+// setOf returns node n's parallel set.
+func (p *Parallelizer) setOf(n *htg.Node) *SolutionSet {
+	p.setsMu.Lock()
+	defer p.setsMu.Unlock()
+	return p.sets[n]
 }
 
 // taskBound returns the starting task bound for region solving: the

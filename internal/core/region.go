@@ -61,7 +61,7 @@ func chunkCount(pf *platform.Platform, iters float64) int {
 
 // statementRegion builds the region over node's child statements, using
 // the candidate sets collected by the bottom-up recursion.
-func (p *Parallelizer) statementRegion(node *htg.Node, sets map[*htg.Node]*SolutionSet) *regionSpec {
+func (p *Parallelizer) statementRegion(node *htg.Node) *regionSpec {
 	rs := &regionSpec{node: node, kind: KindTaskParallel}
 	// EC: tasks are spawned once per execution of the region's body. For
 	// loop nodes the children run per iteration, so creation happens per
@@ -82,7 +82,7 @@ func (p *Parallelizer) statementRegion(node *htg.Node, sets map[*htg.Node]*Solut
 	idx := map[*htg.Node]int{}
 	for _, child := range node.Children {
 		it := &regionItem{name: child.Label, node: child}
-		set := sets[child]
+		set := p.setOf(child)
 		it.cands = make([][]*Solution, len(p.pf.Classes))
 		for c := range p.pf.Classes {
 			it.cands[c] = set.ByClass[c]

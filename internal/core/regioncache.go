@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Region-solve caching: every region ILP is identified by a canonical
@@ -53,11 +51,12 @@ type regionOutcome struct {
 	Recs []SolveRecord
 }
 
-// scratch derives a Parallelizer that shares the platform and config
-// but accumulates records privately — the per-unit and per-computation
-// collector that keeps concurrent record accumulation ordered.
+// scratch derives a Parallelizer that shares the platform, config and
+// solver workspace but accumulates records privately — the per-unit and
+// per-computation collector that keeps concurrent record accumulation
+// ordered.
 func (p *Parallelizer) scratch() *Parallelizer {
-	return &Parallelizer{pf: p.pf, cfg: p.cfg}
+	return &Parallelizer{pf: p.pf, cfg: p.cfg, ws: p.ws}
 }
 
 // scratchWithStore is scratch plus the shared store (for region units,
@@ -69,20 +68,13 @@ func (p *Parallelizer) scratchWithStore() *Parallelizer {
 	return s
 }
 
-// recordSolve appends one solve record under the parallelizer's lock.
-func (p *Parallelizer) recordSolve(rec SolveRecord) {
-	p.mu.Lock()
-	p.stats.record(rec)
-	p.mu.Unlock()
-}
-
 // replayRecords re-emits cached solve telemetry under the caller's
 // region label (the label names the HTG node and is deliberately not
 // part of the key).
 func (p *Parallelizer) replayRecords(recs []SolveRecord, label string) {
 	for _, rec := range recs {
 		rec.Region = label
-		p.recordSolve(rec)
+		p.stats.record(rec)
 	}
 }
 
@@ -223,84 +215,4 @@ func (p *Parallelizer) regionKey(rs *regionSpec, seqPC, maxTasks int, iters floa
 		wf(e.commNs)
 	}
 	return "region|" + hex.EncodeToString(h.Sum(nil))
-}
-
-// regionUnit is one independently solvable work packet of a node's
-// parallel-set construction: the full downward task-bound sweep of one
-// (region, main-class) pair, or one pipeline class. Units run
-// concurrently on the RegionWorkers pool and are merged in unit order,
-// which reproduces the sequential solve and record order exactly.
-type regionUnit struct {
-	seqPC int
-	run   func(sub *Parallelizer) []*Solution
-	sols  []*Solution
-	recs  []SolveRecord
-}
-
-// execute runs the unit on a private sub-parallelizer that traces to
-// tr and captures its solutions and records for the ordered merge.
-func (u *regionUnit) execute(parent *Parallelizer, tr *obs.Tracer) {
-	sub := parent.scratchWithStore()
-	sub.cfg.Tracer = tr
-	u.sols = u.run(sub)
-	u.recs = sub.stats.Solves
-}
-
-// runUnits executes units sequentially or on a bounded worker pool of
-// cfg.RegionWorkers goroutines, each tracing to its own worker track.
-// Either way the units' results are only read after all of them
-// complete, and the caller merges them in unit order, so scheduling
-// cannot influence any output.
-func (p *Parallelizer) runUnits(units []*regionUnit) {
-	m := p.cfg.Metrics
-	m.Counter("core.region_pool.units").Add(int64(len(units)))
-	workers := p.cfg.RegionWorkers
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		for _, u := range units {
-			u.execute(p, p.cfg.Tracer)
-		}
-		return
-	}
-	// Pool occupancy gauges: queue depth counts units submitted but not
-	// yet picked up, busy counts workers inside execute. Both are
-	// telemetry only — unit results are merged in unit order regardless.
-	queueDepth := m.Gauge("core.region_pool.queue_depth")
-	busy := m.Gauge("core.region_pool.busy")
-	m.Gauge("core.region_pool.workers").Set(float64(workers))
-	ch := make(chan *regionUnit)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		tr := p.cfg.Tracer.Worker(w)
-		go func() {
-			for u := range ch {
-				queueDepth.Add(-1)
-				busy.Add(1)
-				u.execute(p, tr)
-				busy.Add(-1)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for _, u := range units {
-		queueDepth.Add(1)
-		ch <- u
-	}
-	close(ch)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-}
-
-// mergeUnits folds unit results into the node's solution set and the
-// parallelizer's stats, in unit order.
-func (p *Parallelizer) mergeUnits(set *SolutionSet, units []*regionUnit) {
-	for _, u := range units {
-		set.ByClass[u.seqPC] = append(set.ByClass[u.seqPC], u.sols...)
-		for _, rec := range u.recs {
-			p.recordSolve(rec)
-		}
-	}
 }

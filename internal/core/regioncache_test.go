@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,38 +33,49 @@ func canonicalize(res *Result) string {
 	return s + "\n" + fmt.Sprintf("%+v", stats)
 }
 
-// TestRegionWorkersByteIdentical is the acceptance criterion of the
-// parallel scheduler: with RegionWorkers >= 4 (and a shared store in
-// the mix), solutions and stats are byte-identical to the sequential
-// run.
-func TestRegionWorkersByteIdentical(t *testing.T) {
+// withPoolWidth runs f with the region pool width (GOMAXPROCS) set to
+// w, restoring the previous width afterwards.
+func withPoolWidth(w int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+	f()
+}
+
+// TestPoolWidthByteIdentical is the acceptance criterion of the
+// parallel scheduler: at pool width 4 (with a shared store in the mix)
+// solutions and stats are byte-identical to a width-1 run. Both sources
+// have independent hierarchical siblings under the root, so sibling
+// subtrees as well as the per-class sweeps of a node run concurrently.
+func TestPoolWidthByteIdentical(t *testing.T) {
 	pf := platform.ConfigA()
-	srcs := []string{hotLoopSrc, independentWorkSrc}
+	srcs := []string{independentWorkSrc, hotLoopSrc}
 	if testing.Short() {
-		// Keep the race gate lean: one source still runs the 4-worker
-		// scheduler against the sequential baseline.
+		// Keep the race gate lean: one source still runs the 4-wide
+		// scheduler against the width-1 baseline.
 		srcs = srcs[:1]
 	}
 	for _, src := range srcs {
 		g := buildGraph(t, src)
 		main := platform.ScenarioAccelerator.MainClass(pf)
 
-		seqCfg := determinismConfig()
-		seqRes, err := Parallelize(g, pf, main, Heterogeneous, seqCfg)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
+		var seqRes, parRes *Result
+		var seqErr, parErr error
+		withPoolWidth(1, func() {
+			seqRes, seqErr = Parallelize(g, pf, main, Heterogeneous, determinismConfig())
+		})
+		if seqErr != nil {
+			t.Fatalf("width 1: %v", seqErr)
 		}
-
-		parCfg := determinismConfig()
-		parCfg.RegionWorkers = 4
-		parCfg.Store = solstore.New(solstore.Options{})
-		parRes, err := Parallelize(g, pf, main, Heterogeneous, parCfg)
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
+		withPoolWidth(4, func() {
+			parCfg := determinismConfig()
+			parCfg.Store = solstore.New(solstore.Options{})
+			parRes, parErr = Parallelize(g, pf, main, Heterogeneous, parCfg)
+		})
+		if parErr != nil {
+			t.Fatalf("width 4: %v", parErr)
 		}
 
 		if got, want := canonicalize(parRes), canonicalize(seqRes); got != want {
-			t.Errorf("parallel run diverged from sequential run:\n--- sequential ---\n%s\n--- parallel ---\n%s", want, got)
+			t.Errorf("width-4 run diverged from width-1 run:\n--- width 1 ---\n%s\n--- width 4 ---\n%s", want, got)
 		}
 	}
 }

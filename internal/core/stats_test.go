@@ -124,17 +124,22 @@ func TestObsWiredThroughSolves(t *testing.T) {
 }
 
 // TestGapLastIsFinalSolveGap checks that the ilp.gap.last gauge ends a
-// plan at the gap of the last solve, and that incumbent events carry no
-// gap: the search knows its gap only when it ends.
+// plan at the gap of the last solve in record order — not of the solve
+// that finished last, which at pool width 4 may be another — and that
+// incumbent events carry no gap: the search knows its gap only when it
+// ends.
 func TestGapLastIsFinalSolveGap(t *testing.T) {
 	g := statsGraph(t)
 	reg := obs.NewRegistry()
 	elog := obs.NewEventLog(nil)
-	res, err := Parallelize(g, platform.ConfigA(), 0, Heterogeneous, Config{
-		Metrics:       reg,
-		Events:        elog,
-		RegionWorkers: 1,
-		Store:         solstore.New(solstore.Options{}),
+	var res *Result
+	var err error
+	withPoolWidth(4, func() {
+		res, err = Parallelize(g, platform.ConfigA(), 0, Heterogeneous, Config{
+			Metrics: reg,
+			Events:  elog,
+			Store:   solstore.New(solstore.Options{}),
+		})
 	})
 	if err != nil {
 		t.Fatalf("Parallelize: %v", err)

@@ -229,9 +229,25 @@ func (sc *searcher) solveNode(nd *bbNode, cutoff float64) nodeLP {
 	return out
 }
 
+// Workspace holds the simplex and basis-factor buffers of a solve and
+// hands them to the next one, so a caller that solves many models in
+// turn stops reallocating them. The zero value is ready; a Workspace is
+// not safe for concurrent use. Results do not depend on what the
+// workspace solved before.
+type Workspace struct {
+	// lp solves the root relaxation and then, rebound so that it starts
+	// out like a fresh solver, every node relaxation.
+	lp lpSolver
+}
+
 // Solve minimizes the model's objective subject to its constraints, bounds
 // and integrality requirements.
 func Solve(mod *Model, opt Options) Result {
+	return new(Workspace).Solve(mod, opt)
+}
+
+// Solve is the package-level Solve on the workspace's buffers.
+func (ws *Workspace) Solve(mod *Model, opt Options) Result {
 	if err := mod.Validate(); err != nil {
 		return Result{Status: StatusInfeasible}
 	}
@@ -256,7 +272,8 @@ func Solve(mod *Model, opt Options) Result {
 		return res
 	}
 	sc := &searcher{mod: mod, p: compile(mod), opt: opt, prunedBound: math.Inf(1)}
-	root := newLPSolver(sc.p)
+	root := &ws.lp
+	root.bind(sc.p)
 	root.deadline = opt.Deadline
 	root.setBounds(rootLo, rootHi)
 	st := root.solveCold()
@@ -296,7 +313,9 @@ func Solve(mod *Model, opt Options) Result {
 		return res
 	}
 
-	sc.lp = newLPSolver(sc.p)
+	rootBasis, rootStat := root.saveBasis()
+	sc.lp = root
+	sc.lp.bind(sc.p)
 
 	// Phase 1: depth-first dive until a first incumbent exists. DFS with
 	// backtracking reaches integral leaves quickly, unlike pure best-first
@@ -312,7 +331,6 @@ func Solve(mod *Model, opt Options) Result {
 		// LP solves per ILP regardless of the cap.
 		dfsBudget = opt.MaxNodes
 	}
-	rootBasis, rootStat := root.saveBasis()
 	sc.dive(rootLo, rootHi, rootLP, rootBasis, rootStat, &res, dfsBudget)
 
 	// Phase 2: best-first search for optimality (or the requested gap),

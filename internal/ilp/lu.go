@@ -41,17 +41,16 @@ type luFactor struct {
 
 	// Elimination workspace, reused across factorizations. ents holds
 	// the active matrix's entries, linked per row and per column from
-	// rowHead/colHead (-1 ends a list); at maps row*m+col to an ents
-	// index + 1 (0: no entry), and the next factorization clears it;
-	// pos and rowAt map an original row to its position and back. In
-	// one elimination step lcol lists column k's entries at positions
-	// ≥ k and urow copies the pivot row's U part. iw backs at, piv and
-	// every m-length int32 array; urow is the head of nzBuf.
+	// rowHead/colHead (-1 ends a list); pos and rowAt map an original row
+	// to its position and back. In one elimination step lcol lists column
+	// k's entries at positions ≥ k, urow copies the pivot row's U part,
+	// and colAt maps the columns of the row being multiplied to their
+	// ents index + 1 (0: no entry), cleared again after the row. iw backs
+	// piv and every m-length int32 array; urow is the head of nzBuf.
 	ents             []luEnt
-	at               []int32
 	rowHead, colHead []int32
 	pos, rowAt       []int32
-	lcol             []int32
+	lcol, colAt      []int32
 	urow             []luNZ
 	iw               []int32
 
@@ -115,9 +114,6 @@ func (f *luFactor) factorize(p *prob, basis []int) error {
 		return nil
 	}
 	f.lastP = nil
-	for _, e := range f.ents {
-		f.at[int(e.r)*m+int(e.c)] = 0
-	}
 	f.ents = f.ents[:0]
 	for i := 0; i < m; i++ {
 		f.rowHead[i], f.colHead[i] = -1, -1
@@ -126,11 +122,11 @@ func (f *luFactor) factorize(p *prob, basis []int) error {
 	// Gather basis columns: entry (i, k) = A[i][basis[k]].
 	for k, j := range basis {
 		if r, ok := p.slackCol(j); ok {
-			f.set(r, k, 1)
+			f.add(r, k, 1)
 			continue
 		}
 		for at := p.colPtr[j]; at < p.colPtr[j+1]; at++ {
-			f.set(int(p.rowIdx[at]), k, p.colVal[at])
+			f.add(int(p.rowIdx[at]), k, p.colVal[at])
 		}
 	}
 	if err := f.eliminate(); err != nil {
@@ -161,41 +157,44 @@ func (f *luFactor) holds(p *prob, basis []int) bool {
 	return true
 }
 
-// alloc sizes the workspace for an m-row basis.
+// alloc sizes the workspace for an m-row basis, reusing the buffers of
+// an earlier size when they are large enough.
 func (f *luFactor) alloc(m int) {
 	f.m = m
-	f.iw = make([]int32, m*m+12*m+2)
 	f.lastP = nil
-	w := f.iw
+	n := 13*m + 2
+	if cap(f.iw) < n {
+		f.iw = make([]int32, n)
+	}
+	w := f.iw[:n]
 	take := func(n int) []int32 {
 		s := w[:n:n]
 		w = w[n:]
 		return s
 	}
-	f.at = take(m * m)
 	f.piv = take(m)
 	f.colPtr, f.colDiag = take(m+1), take(m)
 	f.rowPtr, f.rowDiag = take(m+1), take(m)
 	f.rowHead, f.colHead = take(m), take(m)
 	f.pos, f.rowAt = take(m), take(m)
-	f.lcol = take(m)
+	f.lcol, f.colAt = take(m), take(m)
+	clear(f.colAt)
 	f.lastBasis = take(m)
-	f.ents = make([]luEnt, 0, 4*m)
-	f.nzBuf = make([]luNZ, 9*m)
+	if cap(f.ents) < 4*m {
+		f.ents = make([]luEnt, 0, 4*m)
+	}
+	if len(f.nzBuf) < 9*m {
+		f.nzBuf = make([]luNZ, 9*m)
+	}
 	f.urow = f.nzBuf[:m:m]
 }
 
-// set stores entry (r, c) = v and returns its ents index.
-func (f *luFactor) set(r, c int, v float64) int32 {
-	at := &f.at[r*f.m+c]
-	if *at != 0 {
-		f.ents[*at-1].v = v
-		return *at - 1
-	}
+// add appends entry (r, c) = v, which must not exist yet, and returns
+// its ents index.
+func (f *luFactor) add(r, c int, v float64) int32 {
 	e := int32(len(f.ents))
 	f.ents = append(f.ents, luEnt{v: v, r: int32(r), c: int32(c), nextR: f.rowHead[r], nextC: f.colHead[c]})
 	f.rowHead[r], f.colHead[c] = e, e
-	*at = e + 1
 	return e
 }
 
@@ -206,16 +205,12 @@ func (f *luFactor) set(r, c int, v float64) int32 {
 // zero first so it takes the same subtraction as a dense cell.
 func (f *luFactor) eliminate() error {
 	m := f.m
-	at, pos, rowAt, lcol, urow := f.at, f.pos[:m], f.rowAt[:m], f.lcol[:m], f.urow[:m]
+	pos, rowAt, lcol, colAt, urow := f.pos[:m], f.rowAt[:m], f.lcol[:m], f.colAt[:m], f.urow[:m]
 	for k := 0; k < m; k++ {
-		ents := f.ents // set below may grow it
-		// The dense rule: the largest |a| at positions ≥ k, position k
-		// first, then strictly larger only — so ties go to the smallest
-		// position.
-		pr, pv := k, 0.0
-		if e := at[int(rowAt[k])*m+k]; e != 0 {
-			pv = math.Abs(ents[e-1].v)
-		}
+		ents := f.ents // add below may grow it
+		// The dense rule: the largest |a| at positions ≥ k, ties going to
+		// the smallest position (position k when it holds the maximum).
+		pr, pv, pe := k, 0.0, int32(-1)
 		nl := 0
 		for e := f.colHead[k]; e >= 0; e = ents[e].nextC {
 			i := int(pos[ents[e].r])
@@ -225,7 +220,7 @@ func (f *luFactor) eliminate() error {
 			lcol[nl] = e
 			nl++
 			if a := math.Abs(ents[e].v); a > pv || a == pv && i < pr {
-				pr, pv = i, a
+				pr, pv, pe = i, a, e
 			}
 		}
 		if pv < 1e-11 {
@@ -245,7 +240,7 @@ func (f *luFactor) eliminate() error {
 				n++
 			}
 		}
-		inv := 1 / ents[at[int(prow)*m+k]-1].v
+		inv := 1 / ents[pe].v
 		for _, e := range lcol[:nl] {
 			r := f.ents[e].r
 			if r == prow {
@@ -256,13 +251,18 @@ func (f *luFactor) eliminate() error {
 				continue
 			}
 			f.ents[e].v = l
-			row := at[int(r)*m : int(r)*m+m]
+			for x := f.rowHead[r]; x >= 0; x = f.ents[x].nextR {
+				colAt[f.ents[x].c] = x + 1
+			}
 			for _, u := range urow[:n] {
-				t := row[u.i] - 1
+				t := colAt[u.i] - 1
 				if t < 0 {
-					t = f.set(int(r), int(u.i), 0)
+					t = f.add(int(r), int(u.i), 0)
 				}
 				f.ents[t].v -= l * u.v
+			}
+			for x := f.rowHead[r]; x >= 0; x = f.ents[x].nextR {
+				colAt[f.ents[x].c] = 0
 			}
 		}
 	}

@@ -266,3 +266,51 @@ func TestLUParity(t *testing.T) {
 		})
 	}
 }
+
+// TestBindForgetsFactor: the LU part is matched to a basis by problem
+// pointer, so a solver rebound to a problem at the address of an earlier
+// one (a recycled allocation) must refactorize, not reuse the old factor.
+// The problem is rewritten in place to stand for that new allocation.
+func TestBindForgetsFactor(t *testing.T) {
+	rng := &eqvRng{s: 0xb1d}
+	var p *prob
+	var basis []int
+	for {
+		p, basis = randomBasisProb(rng, 12, false)
+		structural := false
+		for _, j := range basis {
+			structural = structural || j < p.nStruct
+		}
+		var f luFactor
+		if structural && f.factorize(p, basis) == nil {
+			break
+		}
+	}
+	var s lpSolver
+	s.bind(p)
+	if err := s.f.factorize(p, basis); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.colVal {
+		p.colVal[i] *= 2
+	}
+	s.bind(p)
+	if err := s.f.factorize(p, basis); err != nil {
+		t.Fatal(err)
+	}
+	var fresh luFactor
+	if err := fresh.factorize(p, basis); err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]float64, p.m), make([]float64, p.m)
+	for i := range got {
+		got[i], want[i] = float64(i+1), float64(i+1)
+	}
+	s.f.ftran(got)
+	fresh.ftran(want)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("rebound solver kept the old factor: x[%d] = %g, fresh factor %g", i, got[i], want[i])
+		}
+	}
+}

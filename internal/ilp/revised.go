@@ -66,26 +66,51 @@ type lpSolver struct {
 }
 
 func newLPSolver(p *prob) *lpSolver {
-	s := &lpSolver{p: p}
-	s.lo = make([]float64, p.n)
-	s.hi = make([]float64, p.n)
-	s.cost = make([]float64, p.n)
-	s.basis = make([]int, p.m)
-	s.stat = make([]int8, p.n)
-	s.xB = make([]float64, p.m)
-	s.d = make([]float64, p.n)
-	s.w = make([]float64, p.m)
-	s.rho = make([]float64, p.m)
-	s.alpha = make([]float64, p.n)
-	s.touchedBuf = make([]int32, 0, p.n)
-	s.touched = s.touchedBuf
-	s.allCols = make([]int32, p.n)
+	s := &lpSolver{}
+	s.bind(p)
+	return s
+}
+
+// bind points the solver at p and resets every piece of solve state,
+// reusing the buffers of an earlier problem where they are large enough,
+// so a bound solver behaves exactly like a fresh one.
+func (s *lpSolver) bind(p *prob) {
+	s.p = p
+	s.lo = resize(s.lo, p.n)
+	s.hi = resize(s.hi, p.n)
+	s.cost = resize(s.cost, p.n)
+	s.basis = resize(s.basis, p.m)
+	s.stat = resize(s.stat, p.n)
+	s.xB = resize(s.xB, p.m)
+	s.d = resize(s.d, p.n)
+	s.w = resize(s.w, p.m)
+	s.rho = resize(s.rho, p.m)
+	s.alpha = resize(s.alpha, p.n)
+	s.inTouched = resize(s.inTouched, p.n)
+	if cap(s.touchedBuf) < p.n {
+		s.touchedBuf = make([]int32, 0, p.n)
+	}
+	s.touched = s.touchedBuf[:0]
+	s.allCols = resize(s.allCols, p.n)
 	for j := range s.allCols {
 		s.allCols[j] = int32(j)
 	}
-	s.inTouched = make([]bool, p.n)
-	s.cutoff = math.Inf(1)
-	return s
+	// The LU part is matched to a basis by problem pointer: a new problem
+	// at a recycled address must not pass for the old one.
+	s.f.lastP = nil
+	s.iters, s.bland, s.fValid = 0, false, false
+	s.deadline, s.iterCap, s.cutoff = time.Time{}, 0, math.Inf(1)
+}
+
+// resize returns a zeroed slice of length n, reusing buf when it is
+// large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // priceRow computes the pivot row alpha = eᵣB⁻ᵀ·[A|I] of the current

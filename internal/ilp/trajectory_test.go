@@ -75,6 +75,34 @@ func TestSearchTrajectory(t *testing.T) {
 	}
 }
 
+// TestWorkspaceReuse solves every trajectory case on one Workspace,
+// forwards and then backwards, so each solve inherits the buffers of a
+// model of another size (or of its own): the search path must still
+// match the golden exactly. The capped chunk case stands in for the
+// full chunk searches: it has their model size at a fraction of the time.
+func TestWorkspaceReuse(t *testing.T) {
+	want := readTrajectoryGolden(t)
+	var cases []trajectoryCase
+	for _, c := range trajectoryCases() {
+		if strings.HasPrefix(c.name, "chunk/") && c.opt.MaxNodes > 20 {
+			continue
+		}
+		cases = append(cases, c)
+	}
+	var ws Workspace
+	for pass := 0; pass < 2; pass++ {
+		for i := range cases {
+			c := cases[i]
+			if pass == 1 {
+				c = cases[len(cases)-1-i]
+			}
+			if got := resultKey(ws.Solve(c.m, c.opt)); got != want[c.name] {
+				t.Errorf("pass %d, %s: reused workspace changed the search:\ngot  %s\nwant %s", pass, c.name, got, want[c.name])
+			}
+		}
+	}
+}
+
 func readTrajectoryGolden(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(trajectoryGolden)

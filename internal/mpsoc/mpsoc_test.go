@@ -164,14 +164,28 @@ func TestMakespanLowerBounds(t *testing.T) {
 	}
 }
 
+// busSrc has two independent recurrences: neither loop can be split into
+// iteration chunks, so the plan runs them as tasks of their own, and
+// the final loop reads both results back.
+const busSrc = `
+#define N 512
+float a[N]; float b[N]; float c[N];
+void main(void) {
+    a[0] = 1.0; b[0] = 2.0;
+    for (int i = 1; i < N; i++) { a[i] = a[i - 1] * 0.5 + sqrt(i * 1.0 + 1.0) * 2.0; }
+    for (int j = 1; j < N; j++) { b[j] = b[j - 1] * 0.25 + sqrt(j * 2.0 + 1.0) * 3.0; }
+    for (int k = 0; k < N; k++) { c[k] = a[k] + b[k]; }
+}
+`
+
 func TestBusTransfersCounted(t *testing.T) {
-	// Two dependent loops in different tasks must move data over the bus.
-	g := buildGraph(t, simLoopSrc)
+	// Dependent statements in different tasks must move data over the bus.
+	g := buildGraph(t, busSrc)
 	pf := platform.ConfigA()
 	main := platform.ScenarioAccelerator.MainClass(pf)
 	res := parallelize(t, g, pf, platform.ScenarioAccelerator, core.Heterogeneous)
 	if res.Best.NumTasks < 2 {
-		t.Skip("no parallelism extracted; nothing to transfer")
+		t.Fatalf("plan has %d task(s); want the recurrences in tasks of their own", res.Best.NumTasks)
 	}
 	sim := New(pf, false)
 	meas, err := sim.Run(res.Best, main)

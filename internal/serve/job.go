@@ -29,10 +29,6 @@ type Request struct {
 	// or "hom".
 	Scenario string `json:"scenario,omitempty"`
 	Approach string `json:"approach,omitempty"`
-	// RegionWorkers bounds per-solve region concurrency (0 = server
-	// default). Output is byte-identical at any width, so the field is
-	// not part of the job's content address.
-	RegionWorkers int `json:"region_workers,omitempty"`
 	// TimeoutMs caps how long this request waits for its result (queue
 	// wait + solve). The solve itself is never abandoned: it runs to
 	// completion and lands in the store, so a timed-out client can
@@ -53,9 +49,8 @@ type jobSpec struct {
 	approach heteropar.Approach
 	// scenarioStr / approachStr are the canonical request tokens echoed
 	// into the result document.
-	scenarioStr   string
-	approachStr   string
-	regionWorkers int
+	scenarioStr string
+	approachStr string
 	// key is the job's content address: requests with equal keys are
 	// interchangeable (identical result bytes), which is what makes
 	// coalescing and result caching sound.
@@ -109,13 +104,9 @@ func specOf(req *Request) (*jobSpec, error) {
 	default:
 		return nil, fmt.Errorf("unknown approach %q (want het or hom)", req.Approach)
 	}
-	if req.RegionWorkers < 0 {
-		return nil, fmt.Errorf("region_workers must be >= 0 (got %d)", req.RegionWorkers)
-	}
 	if req.TimeoutMs < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0 (got %d)", req.TimeoutMs)
 	}
-	spec.regionWorkers = req.RegionWorkers
 	spec.key = jobKey(spec)
 	return spec, nil
 }

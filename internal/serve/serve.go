@@ -82,9 +82,6 @@ type Config struct {
 	// Store gets a private default-capacity store wired to Metrics and
 	// Events.
 	Store *solstore.Store
-	// RegionWorkers is the per-solve region concurrency handed to the
-	// facade when a request does not set region_workers.
-	RegionWorkers int
 	// Metrics receives the serve.* families plus the facade's solver
 	// and store metrics; a nil registry disables metric collection
 	// (the /metrics endpoint then serves an empty body).
@@ -440,18 +437,13 @@ func (s *Server) solveRecovered(spec *jobSpec) (out outcome) {
 // realSolve runs the full pipeline through the facade, sharing the
 // server's store so region subproblems reuse across jobs.
 func (s *Server) realSolve(spec *jobSpec) outcome {
-	workers := spec.regionWorkers
-	if workers == 0 {
-		workers = s.cfg.RegionWorkers
-	}
 	rep, err := heteropar.Parallelize(spec.source, heteropar.Options{
-		Platform:      spec.platform,
-		Scenario:      spec.scenario,
-		Approach:      spec.approach,
-		RegionWorkers: workers,
-		Store:         s.store,
-		Metrics:       s.reg,
-		Events:        s.events,
+		Platform: spec.platform,
+		Scenario: spec.scenario,
+		Approach: spec.approach,
+		Store:    s.store,
+		Metrics:  s.reg,
+		Events:   s.events,
 	})
 	if err != nil {
 		return outcome{errMsg: err.Error(), code: http.StatusUnprocessableEntity}

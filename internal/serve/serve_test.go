@@ -47,6 +47,12 @@ func post(t *testing.T, baseURL string, req Request) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, baseURL, buf)
+}
+
+// postBody POSTs a raw JSON body to the parallelize endpoint.
+func postBody(t *testing.T, baseURL string, buf []byte) (int, []byte) {
+	t.Helper()
 	resp, err := http.Post(baseURL+"/v1/parallelize", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
@@ -103,6 +109,37 @@ func TestDaemonMatchesFacadeBytes(t *testing.T) {
 	status, again := post(t, ts.URL, Request{Bench: "mult_10"})
 	if status != http.StatusOK || !bytes.Equal(again, want) {
 		t.Errorf("cached response differs (status %d):\n%s", status, again)
+	}
+}
+
+// TestRegionWorkersFieldIgnored: requests from clients written when
+// the request still had a region_workers field keep working. The field
+// is ignored, and the answer is byte for byte the one a request without
+// it gets from a server that has never seen either.
+func TestRegionWorkersFieldIgnored(t *testing.T) {
+	src, err := json.Marshal(`
+float a[64]; float b[64];
+void main(void) {
+    for (int i = 0; i < 64; i++) { a[i] = sqrt(i * 1.0 + 1.0) * 2.0; }
+    for (int i = 0; i < 64; i++) { b[i] = sqrt(i * 2.0 + 1.0) * 3.0; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(body string) []byte {
+		t.Helper()
+		_, ts := newTestServer(t, Config{Workers: 1})
+		status, out := postBody(t, ts.URL, []byte(body))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", body, status, out)
+		}
+		return out
+	}
+	legacy := answer(`{"source":` + string(src) + `,"region_workers":4}`)
+	plain := answer(`{"source":` + string(src) + `}`)
+	if !bytes.Equal(legacy, plain) {
+		t.Errorf("region_workers changed the answer:\n--- with ---\n%s--- without ---\n%s", legacy, plain)
 	}
 }
 
@@ -368,7 +405,6 @@ func TestRequestValidation(t *testing.T) {
 		{"bad scenario", Request{Bench: "fir_256", Scenario: "fast"}, 400},
 		{"bad approach", Request{Bench: "fir_256", Approach: "magic"}, 400},
 		{"bad platform", Request{Bench: "fir_256", Platform: json.RawMessage(`"C"`)}, 400},
-		{"negative workers", Request{Bench: "fir_256", RegionWorkers: -1}, 400},
 		{"negative timeout", Request{Bench: "fir_256", TimeoutMs: -5}, 400},
 	}
 	for _, tc := range cases {
@@ -553,7 +589,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // TestJobKeyContentAddressing checks the fingerprint: equal inputs
 // share a key; any solver-visible difference (source, platform,
 // resolved main class, approach) separates them; output-neutral knobs
-// (region workers, timeout) do not.
+// (timeout, async) do not.
 func TestJobKeyContentAddressing(t *testing.T) {
 	key := func(req Request) string {
 		t.Helper()
@@ -564,7 +600,7 @@ func TestJobKeyContentAddressing(t *testing.T) {
 		return spec.key
 	}
 	base := key(Request{Bench: "fir_256"})
-	if base != key(Request{Bench: "fir_256", RegionWorkers: 4, TimeoutMs: 1000, Async: true}) {
+	if base != key(Request{Bench: "fir_256", TimeoutMs: 1000, Async: true}) {
 		t.Error("output-neutral knobs changed the job key")
 	}
 	if base == key(Request{Bench: "mult_10"}) {

@@ -254,7 +254,7 @@ func TestSweepIdenticalWithTelemetry(t *testing.T) {
 	if o.M().Counter("dse.points.completed").Value() == 0 {
 		t.Error("telemetry run recorded no completed points")
 	}
-	if n := chromeTracksNest(t, o.T()); int64(n) != 1+o.M().Counter("dse.cache.misses").Value() {
+	if n, _ := chromeTracksNest(t, o.T()); int64(n) != 1+o.M().Counter("dse.cache.misses").Value() {
 		t.Errorf("trace has %d spans, want the sweep plus one per computed point", n)
 	}
 }

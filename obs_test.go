@@ -3,6 +3,7 @@ package heteropar_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -155,8 +156,8 @@ func TestTracerSpansIntoEvents(t *testing.T) {
 // nest on every (pid, tid) track: each end event closes the latest open
 // begin, of the same name, and no span opens inside an open span of the
 // same name (concurrent solves or sweep points sharing a track). It
-// returns the number of spans.
-func chromeTracksNest(t *testing.T, tr *obs.Tracer) int {
+// returns the number of spans and of tracks holding any.
+func chromeTracksNest(t *testing.T, tr *obs.Tracer) (spans, tracks int) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -195,27 +196,36 @@ func chromeTracksNest(t *testing.T, tr *obs.Tracer) int {
 			open[tk] = st[:len(st)-1]
 		}
 	}
-	return begins
+	return begins, len(open)
 }
 
-// TestChromeTracksUnderRegionWorkers: region solves running on a worker
-// pool each trace to their worker's own track, so the spans of every
-// Chrome track nest, and the trace has the spans of a sequential run.
-func TestChromeTracksUnderRegionWorkers(t *testing.T) {
+// TestChromeTracksUnderPoolWidth: region solves running concurrently
+// on the region pool each trace to their token's own track, so the
+// spans of every Chrome track nest, and the trace has the spans of a
+// width-1 run. mult_10's root has several loop nests, so at width 4
+// sibling subtrees solve at once and the solves spread over tracks.
+func TestChromeTracksUnderPoolWidth(t *testing.T) {
 	src := bench.ByName("mult_10").Source
-	spans := func(workers int) int {
+	trace := func(width int) (spans, tracks int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
 		tr := obs.NewTracer()
 		if _, err := heteropar.Parallelize(src, heteropar.Options{
 			MaxILPTime:     time.Hour, // node caps, not the clock, end every search
-			RegionWorkers:  workers,
 			SkipSimulation: true,
 			Tracer:         tr,
 		}); err != nil {
-			t.Fatalf("Parallelize (%d workers): %v", workers, err)
+			t.Fatalf("Parallelize (width %d): %v", width, err)
 		}
 		return chromeTracksNest(t, tr)
 	}
-	if seq, par := spans(1), spans(4); par != seq {
-		t.Errorf("4-worker trace has %d spans, sequential %d", par, seq)
+	seq, _ := trace(1)
+	par, tracks := trace(4)
+	if par != seq {
+		t.Errorf("width-4 trace has %d spans, width 1 %d", par, seq)
+	}
+	// The main track plus one per token that held a unit; a second token
+	// is only handed out while the first is held.
+	if tracks < 3 {
+		t.Errorf("width-4 trace uses %d tracks; want the main track and at least two worker tracks", tracks)
 	}
 }
