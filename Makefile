@@ -27,10 +27,12 @@ test:
 # sequential solves are skipped (plain `make test` still runs them
 # race-free) while every concurrency path stays covered — the dse
 # worker pool and its shared store, the region-solve store (concurrent
-# Get/Put, singleflight) and the core region scheduler's 4-worker
-# byte-identity run.
+# Get/Put, singleflight), the core region scheduler's 4-worker
+# byte-identity run and four concurrent facade plans sharing one
+# program's front end through the store.
 race:
 	$(GO) test -race -short ./internal/obs/... ./internal/dse/... ./internal/ilp/... ./internal/core/... ./internal/solstore/... ./internal/serve/...
+	$(GO) test -race -short -run '^TestSharedFrontEndConcurrent$$' .
 
 # The end-to-end benchmark is a nested module (it replaces repro with
 # this checkout), so the root `go build ./...` never compiles it: vet

@@ -34,7 +34,8 @@ func TestRenderTelemetryGolden(t *testing.T) {
 		"region      model   class  tasks  status    time\n" +
 		"loop_1      tasks   0      4      optimal   12ms\n" +
 		"loop_2      chunks  1      4      optimal   3ms\n"
-	store := &solstore.Stats{Hits: 9, Misses: 3, Dedups: 1, Evictions: 0, Entries: 3}
+	store := &solstore.Stats{Hits: 9, Misses: 3, Dedups: 1, Evictions: 0, Entries: 3,
+		FrontEnd: solstore.StageStats{Hits: 1, Misses: 1, Entries: 1}}
 
 	var sb strings.Builder
 	renderTelemetry(&sb, solverStats, store, reg.RenderTable())

@@ -18,24 +18,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/htg"
-	"repro/internal/interp"
-	"repro/internal/minic"
 )
 
 // dump compiles and profiles source, builds the HTG and renders it: the
 // section report when sections is set, Graphviz DOT otherwise. Both
 // renderings are deterministic for equal inputs.
 func dump(source string, sections bool) (string, error) {
-	prog, err := minic.Compile(source)
-	if err != nil {
-		return "", err
-	}
-	in := interp.New(prog)
-	prof, err := in.Run()
-	if err != nil {
-		return "", err
-	}
-	g, err := htg.Build(prog, prof, htg.Config{})
+	g, err := htg.FromSource(source, nil)
 	if err != nil {
 		return "", err
 	}

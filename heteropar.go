@@ -24,6 +24,8 @@
 package heteropar
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -31,7 +33,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/htg"
-	"repro/internal/interp"
 	"repro/internal/minic"
 	"repro/internal/mpsoc"
 	"repro/internal/obs"
@@ -44,9 +45,10 @@ import (
 // store (see package repro/internal/solstore): a content-addressed LRU
 // cache of per-region ILP outcomes, safe for concurrent use and
 // shareable across Parallelize calls so repeated or related programs
-// skip identical region solves. Reuse is guaranteed output-neutral —
-// keys cover every solver-visible input — so results stay
-// byte-identical to a store-less run.
+// skip identical region solves, plus a small stage of recent sources'
+// front ends. Reuse is guaranteed output-neutral — keys cover every
+// solver-visible input — so results stay byte-identical to a
+// store-less run.
 type SolutionStore = solstore.Store
 
 // NewSolutionStore builds a region-solve store holding up to capacity
@@ -125,8 +127,10 @@ type Options struct {
 	SkipSimulation bool
 	// Store, when non-nil, caches region ILP solves by content address
 	// so repeated or related Parallelize calls (e.g. the same program
-	// on both scenarios of a platform) skip identical solves. See
-	// NewSolutionStore.
+	// on both scenarios of a platform) skip identical solves. It also
+	// keeps the front end (checked program and HTG) of the last few
+	// sources, so a repeated source skips compile, profiling and HTG
+	// build. See NewSolutionStore.
 	Store *SolutionStore
 	// Tracer, when non-nil, records phase spans, per-solve solver spans
 	// and simulator occupancy for the -trace tooling. Its spans reach an
@@ -142,10 +146,11 @@ type Options struct {
 
 // Report is the result of parallelizing one program.
 type Report struct {
-	// Program is the checked AST.
+	// Program is the checked AST and Graph the Augmented Hierarchical
+	// Task Graph. Reports planned from one source on one Store share
+	// both, so treat them as read-only.
 	Program *minic.Program
-	// Graph is the Augmented Hierarchical Task Graph.
-	Graph *htg.Graph
+	Graph   *htg.Graph
 	// Result holds the chosen solution, the per-node parallel sets and
 	// the ILP statistics.
 	Result *core.Result
@@ -174,11 +179,13 @@ type Report struct {
 }
 
 // Parallelize runs the complete tool flow on source. The telemetry
-// sinks in opts go straight to the pipeline: each phase (compile,
-// profile, HTG build, parallelize with its per-region ILP solves,
-// taskspec, simulate) is a span on opts.Tracer, which also receives the
-// simulated schedule as per-core occupancy tracks; solver telemetry
-// flows into opts.Metrics and opts.Events.
+// sinks in opts go straight to the pipeline: each phase (the front end
+// with its compile, profile and HTG build, parallelize with its
+// per-region ILP solves, taskspec, simulate) is a span on opts.Tracer,
+// which also receives the simulated schedule as per-core occupancy
+// tracks; solver telemetry flows into opts.Metrics and opts.Events. A
+// front end reused from opts.Store is one front-end span with
+// cached=true and no compile, profile or htg-build span.
 func Parallelize(source string, opts Options) (*Report, error) {
 	if opts.Platform == nil {
 		opts.Platform = PlatformA()
@@ -192,26 +199,15 @@ func Parallelize(source string, opts Options) (*Report, error) {
 		obs.String("approach", opts.Approach.String()))
 	defer flow.End()
 
-	span := tr.Start("compile", obs.Int("source_bytes", len(source)))
-	prog, err := minic.Compile(source)
-	span.End()
+	g, err := frontEnd(source, opts.Store, tr)
 	if err != nil {
-		return nil, fmt.Errorf("heteropar: %w", err)
+		se := err.(*htg.StageError)
+		if se.Stage == htg.StageProfile {
+			return nil, fmt.Errorf("heteropar: profiling failed: %w", se.Err)
+		}
+		return nil, fmt.Errorf("heteropar: %w", se.Err)
 	}
-	span = tr.Start("profile")
-	in := interp.New(prog)
-	prof, err := in.Run()
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("heteropar: profiling failed: %w", err)
-	}
-	span = tr.Start("htg-build")
-	g, err := htg.Build(prog, prof, htg.Config{})
-	if err != nil {
-		span.End()
-		return nil, fmt.Errorf("heteropar: %w", err)
-	}
-	span.End()
+	prog := g.Program
 	mainClass := opts.Scenario.MainClass(opts.Platform)
 	cfg := core.Config{
 		ILPTimeout:       opts.MaxILPTime,
@@ -223,7 +219,7 @@ func Parallelize(source string, opts Options) (*Report, error) {
 		Events:           opts.Events,
 		Audit:            analysis.AuditResult,
 	}
-	span = tr.Start("parallelize", obs.Int("main_class", mainClass))
+	span := tr.Start("parallelize", obs.Int("main_class", mainClass))
 	res, err := core.Parallelize(g, opts.Platform, mainClass, opts.Approach, cfg)
 	if err != nil {
 		span.End()
@@ -267,6 +263,33 @@ func Parallelize(source string, opts Options) (*Report, error) {
 		meas.ExportOccupancy(tr, opts.Platform)
 	}
 	return rep, nil
+}
+
+// frontEndResult is the front-end stage's value for one source: its HTG
+// (whose Program is the checked AST), or the error of the stage that
+// failed, which reaches the callers in flight and is never stored.
+type frontEndResult struct {
+	g   *htg.Graph
+	err error
+}
+
+// frontEnd returns the HTG of source, reused from the store's front-end
+// stage or compiled, profiled and built there. The key is the source's
+// SHA-256 alone: the facade always builds with the default htg.Config,
+// so every platform, scenario, approach and option of one program shares
+// an entry. The lookup is one front-end span (cached=true on reuse);
+// a computation nests the compile, profile and htg-build spans in it.
+func frontEnd(source string, store *SolutionStore, tr *obs.Tracer) (*htg.Graph, error) {
+	span := tr.Start("front-end")
+	sum := sha256.Sum256([]byte(source))
+	v, cached := store.FrontEnd("frontend|"+hex.EncodeToString(sum[:]), func() (any, bool) {
+		g, err := htg.FromSource(source, tr)
+		return frontEndResult{g, err}, err == nil
+	})
+	span.SetAttr(obs.Bool("cached", cached))
+	span.End()
+	r := v.(frontEndResult)
+	return r.g, r.err
 }
 
 // AnnotatedSource renders the program with OpenMP-style task annotations.

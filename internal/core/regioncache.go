@@ -118,14 +118,22 @@ func (p *Parallelizer) solvePipeline(rs *regionSpec, iters float64, seqPC, maxTa
 
 // recallRegion serves one region solve from the store under key, or
 // runs solve on a private scratch parallelizer and stores its
-// assignment with the solve records it produced. A nil store computes
-// every time. Either way the records are replayed under the caller's
-// region label, so stats do not depend on store warmth.
+// assignment with the solve records it produced. An outcome with a
+// solve cut by the wall clock depends on machine speed, so it is used
+// once and never stored. A nil store computes every time. Either way
+// the records are replayed under the caller's region label, so stats
+// do not depend on store warmth.
 func (p *Parallelizer) recallRegion(rs *regionSpec, model, key string, seqPC int, solve func(sub *Parallelizer) *regionAssignment) *Solution {
 	start := time.Now() //repolint:allow timenow (telemetry only, never solver-visible)
-	v, cached := p.store.GetOrCompute(key, func() any {
+	v, cached := p.store.GetOrCompute(key, func() (any, bool) {
 		scratch := p.scratch()
-		return &regionOutcome{Asg: solve(scratch), Recs: scratch.stats.Solves}
+		out := &regionOutcome{Asg: solve(scratch), Recs: scratch.stats.Solves}
+		for _, rec := range out.Recs {
+			if rec.TimedOut {
+				return out, false
+			}
+		}
+		return out, true
 	})
 	out := v.(*regionOutcome)
 	p.replayRecords(out.Recs, regionLabel(rs))

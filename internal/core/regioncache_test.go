@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/solstore"
 )
@@ -184,5 +185,47 @@ func TestStoreStatsIndependentOfWarmth(t *testing.T) {
 		if a != b {
 			t.Errorf("solve %d differs:\nwarm: %+v\nfresh: %+v", i, a, b)
 		}
+	}
+}
+
+// TestTimedOutSolvesNotStored checks that a region outcome whose solve
+// stopped on the wall clock is used once and never stored: under a 1ns
+// cap every ILP times out, the store keeps only the outcomes that ran
+// no ILP at all (regions rejected before any model is built), and a
+// second plan solves every ILP again. Pool width 1 keeps two units from
+// sharing one in-flight solve, which would make the solve count depend
+// on timing.
+func TestTimedOutSolvesNotStored(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pf := platform.ConfigA()
+	g := buildGraph(t, independentWorkSrc)
+	main := platform.ScenarioAccelerator.MainClass(pf)
+	reg := obs.NewRegistry()
+	cfg := Config{ILPTimeout: time.Nanosecond, Store: solstore.New(solstore.Options{}), Metrics: reg}
+	first, err := Parallelize(g, pf, main, Heterogeneous, cfg)
+	if err != nil {
+		t.Fatalf("first plan: %v", err)
+	}
+	solves := reg.Counter("ilp.solves").Value()
+	if solves == 0 || reg.Counter("ilp.timeouts").Value() != solves {
+		t.Fatalf("%d solves, %d timed out; want every solve cut by the 1ns cap",
+			solves, reg.Counter("ilp.timeouts").Value())
+	}
+	st1 := cfg.Store.Stats()
+	if timedOut := int(st1.Misses) - st1.Entries; timedOut <= 0 {
+		t.Fatalf("store kept %d of %d region outcomes; want the timed-out ones declined", st1.Entries, st1.Misses)
+	}
+	second, err := Parallelize(g, pf, main, Heterogeneous, cfg)
+	if err != nil {
+		t.Fatalf("second plan: %v", err)
+	}
+	if got := reg.Counter("ilp.solves").Value(); got != 2*solves {
+		t.Errorf("ilp.solves = %d after two plans; want %d (the second solves again)", got, 2*solves)
+	}
+	if n := cfg.Store.Len(); n != st1.Entries {
+		t.Errorf("store holds %d outcomes after the second plan, %d after the first; want no timed-out one added", n, st1.Entries)
+	}
+	if a, b := len(first.Stats.Solves), len(second.Stats.Solves); a != b {
+		t.Errorf("solve records: %d then %d; want equal", a, b)
 	}
 }

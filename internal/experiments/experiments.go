@@ -12,7 +12,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/htg"
-	"repro/internal/interp"
 	"repro/internal/minic"
 	"repro/internal/mpsoc"
 	"repro/internal/platform"
@@ -28,20 +27,19 @@ type Prepared struct {
 
 // Prepare compiles, profiles and builds the HTG of b.
 func Prepare(b *bench.Benchmark) (*Prepared, error) {
-	prog, err := minic.Compile(b.Source)
+	g, err := htg.FromSource(b.Source, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s: compile: %w", b.Name, err)
+		se := err.(*htg.StageError)
+		return nil, fmt.Errorf("%s: %s: %w", b.Name, stageNames[se.Stage], se.Err)
 	}
-	in := interp.New(prog)
-	prof, err := in.Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s: profile: %w", b.Name, err)
-	}
-	g, err := htg.Build(prog, prof, htg.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("%s: htg: %w", b.Name, err)
-	}
-	return &Prepared{Bench: b, Prog: prog, Graph: g}, nil
+	return &Prepared{Bench: b, Prog: g.Program, Graph: g}, nil
+}
+
+// stageNames labels front-end failures in Prepare's errors.
+var stageNames = map[htg.Stage]string{
+	htg.StageCompile: "compile",
+	htg.StageProfile: "profile",
+	htg.StageBuild:   "htg",
 }
 
 // Measured is one (benchmark, approach) measurement.

@@ -54,7 +54,7 @@ func BenchmarkStoreGetOrCompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i&(len(keys)-1)]
-		s.GetOrCompute(k, func() any { return i })
+		s.GetOrCompute(k, func() (any, bool) { return i, true })
 	}
 	b.StopTimer()
 	st := s.Stats()

@@ -20,9 +20,14 @@
 //     twice just because two workers reached identical subproblems at
 //     the same moment.
 //
+// Besides solutions the store owns one small front-end stage (see
+// FrontEnd): a program's checked AST and HTG keyed by its source, so
+// every plan of one program compiles, profiles and builds its HTG once.
+//
 // Hit/miss/dedup/eviction counters and per-shard entry gauges flow into
-// an optional obs.Registry under solstore.*, so the CLIs' -stats views
-// and the DSE reports can show store effectiveness.
+// an optional obs.Registry under solstore.* (the front-end stage's under
+// solstore.frontend.*), so the CLIs' -stats views and the DSE reports
+// can show store effectiveness.
 package solstore
 
 import (
@@ -58,10 +63,16 @@ const (
 	DefaultShards   = 8
 )
 
+// frontEndEntries bounds the front-end stage: a few programs' ASTs and
+// HTGs, enough for a sweep over one program's scenarios and platforms or
+// a daemon's recent sources.
+const frontEndEntries = 8
+
 // Store is the sharded LRU + single-flight store. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use
-// and safe on a nil *Store (Get misses, Put drops, GetOrCompute
-// computes every time), so call sites need no enabled/disabled branch.
+// and safe on a nil *Store (Get misses, Put drops, GetOrCompute and
+// FrontEnd compute every time), so call sites need no enabled/disabled
+// branch.
 type Store struct {
 	shards []*shard
 	mask   uint32
@@ -71,6 +82,10 @@ type Store struct {
 	dedups    *obs.Counter
 	evictions *obs.Counter
 	events    *obs.EventLog
+
+	// front is the front-end stage: its own one-shard LRU and counters,
+	// so its traffic never counts as, or evicts, a solution.
+	front *Store
 }
 
 // entry is one cached value on a shard's LRU list.
@@ -113,6 +128,16 @@ func New(opts Options) *Store {
 	if n <= 0 {
 		n = DefaultShards
 	}
+	s := newStore("solstore.", shardGaugeName, capTotal, n, opts)
+	s.front = newStore("solstore.frontend.", func(int) string { return "solstore.frontend.entries" },
+		frontEndEntries, 1, opts)
+	return s
+}
+
+// newStore builds one LRU of capTotal entries over n shards (rounded up
+// to a power of two) whose counters are named prefix+name and whose
+// per-shard entry gauges gauge(i).
+func newStore(prefix string, gauge func(int) string, capTotal, n int, opts Options) *Store {
 	// Round the shard count up to a power of two for mask indexing.
 	pow := 1
 	for pow < n {
@@ -124,7 +149,7 @@ func New(opts Options) *Store {
 	// Stats() still reads live values (Registry.Counter on nil returns a
 	// nil no-op counter, which would freeze Stats at zero).
 	counter := func(name string) *obs.Counter {
-		if c := opts.Metrics.Counter(name); c != nil {
+		if c := opts.Metrics.Counter(prefix + name); c != nil {
 			return c
 		}
 		return &obs.Counter{}
@@ -132,10 +157,10 @@ func New(opts Options) *Store {
 	s := &Store{
 		shards:    make([]*shard, n),
 		mask:      uint32(n - 1),
-		hits:      counter("solstore.hits"),
-		misses:    counter("solstore.misses"),
-		dedups:    counter("solstore.dedups"),
-		evictions: counter("solstore.evictions"),
+		hits:      counter("hits"),
+		misses:    counter("misses"),
+		dedups:    counter("dedups"),
+		evictions: counter("evictions"),
 		events:    opts.Events,
 	}
 	for i := range s.shards {
@@ -144,7 +169,7 @@ func New(opts Options) *Store {
 			items:        map[string]*entry{},
 			inflight:     map[string]*call{},
 			trackEvicted: opts.Events != nil,
-			entries:      opts.Metrics.Gauge(shardGaugeName(i)),
+			entries:      opts.Metrics.Gauge(gauge(i)),
 		}
 	}
 	return s
@@ -211,14 +236,18 @@ func (s *Store) Put(key string, val any) {
 
 // GetOrCompute returns the value for key, computing it with fn on a
 // miss. Concurrent callers with the same key wait for the first
-// caller's fn instead of recomputing ("single flight"); its value is
-// stored and shared. fn runs without any store lock held, so it may
-// itself use the store (under a different key). The second return
-// reports whether the value came from cache or an in-flight
-// computation rather than this caller's own fn.
-func (s *Store) GetOrCompute(key string, fn func() any) (any, bool) {
+// caller's fn instead of recomputing ("single flight") and share its
+// value. The value is stored only when fn reports keep, so a result
+// that must not be replayed (an error, a solve cut by the wall clock)
+// reaches the callers in flight and no one after them. fn runs without
+// any store lock held, so it may itself use the store (under a
+// different key). The second return reports whether the value came
+// from cache or an in-flight computation rather than this caller's own
+// fn.
+func (s *Store) GetOrCompute(key string, fn func() (val any, keep bool)) (any, bool) {
 	if s == nil {
-		return fn(), false
+		v, _ := fn()
+		return v, false
 	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -249,14 +278,31 @@ func (s *Store) GetOrCompute(key string, fn func() any) (any, bool) {
 	sh.mu.Unlock()
 	s.misses.Inc()
 
-	c.val = fn()
+	val, keep := fn()
+	c.val = val
 	sh.mu.Lock()
-	sh.put(key, c.val)
+	if keep {
+		sh.put(key, val)
+	}
 	delete(sh.inflight, key)
 	sh.mu.Unlock()
 	close(c.done)
 	s.noteEvictions(sh)
-	return c.val, false
+	return val, false
+}
+
+// FrontEnd is GetOrCompute on the store's front-end stage: an LRU of a
+// few per-program analysis results (checked AST and HTG) apart from the
+// solutions. Its lookups count under
+// Stats.FrontEnd, never as solution hits or misses, and its entries
+// never evict a solution. The values are shared between callers and
+// must be treated as read-only.
+func (s *Store) FrontEnd(key string, fn func() (val any, keep bool)) (any, bool) {
+	if s == nil {
+		v, _ := fn()
+		return v, false
+	}
+	return s.front.GetOrCompute(key, fn)
 }
 
 // noteEvictions forwards a shard's eviction delta to the global counter
@@ -353,9 +399,10 @@ func (s *Store) Len() int {
 
 // Stats is a point-in-time snapshot of the store's effectiveness.
 type Stats struct {
-	// Hits and Misses count Get/GetOrCompute lookups; Dedups the
-	// GetOrCompute calls that joined another caller's in-flight
-	// computation instead of running their own.
+	// Hits and Misses count solution lookups only (Get/GetOrCompute:
+	// region|, dse| and serve| keys); Dedups the GetOrCompute calls that
+	// joined another caller's in-flight computation instead of running
+	// their own. Front-end lookups count under FrontEnd.
 	Hits, Misses, Dedups int64
 	// Evictions counts LRU evictions; Entries the live entries.
 	Evictions int64
@@ -364,11 +411,17 @@ type Stats struct {
 	// counts in shard order.
 	Shards       int
 	ShardEntries []int
+	// FrontEnd is the front-end stage's traffic (see Store.FrontEnd).
+	FrontEnd StageStats
 }
 
-// Stats snapshots the counters. On a store built without a metrics
-// registry the counters are nil and read as zero except Entries, which
-// is always live.
+// StageStats counts one side stage of the store.
+type StageStats struct {
+	Hits, Misses, Dedups, Evictions int64
+	Entries                         int
+}
+
+// Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
@@ -379,6 +432,13 @@ func (s *Store) Stats() Stats {
 		Dedups:    s.dedups.Value(),
 		Evictions: s.evictions.Value(),
 		Shards:    len(s.shards),
+		FrontEnd: StageStats{
+			Hits:      s.front.hits.Value(),
+			Misses:    s.front.misses.Value(),
+			Dedups:    s.front.dedups.Value(),
+			Evictions: s.front.evictions.Value(),
+			Entries:   s.front.Len(),
+		},
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

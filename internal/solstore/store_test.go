@@ -43,9 +43,13 @@ func TestNilStoreSafe(t *testing.T) {
 	if _, ok := s.Get("k"); ok {
 		t.Fatalf("nil store Get hit")
 	}
-	v, hit := s.GetOrCompute("k", func() any { return 7 })
+	v, hit := s.GetOrCompute("k", func() (any, bool) { return 7, true })
 	if hit || v.(int) != 7 {
 		t.Fatalf("nil store GetOrCompute = %v, %v; want 7, false", v, hit)
+	}
+	v, hit = s.FrontEnd("k", func() (any, bool) { return 5, true })
+	if hit || v.(int) != 5 {
+		t.Fatalf("nil store FrontEnd = %v, %v; want 5, false", v, hit)
 	}
 	if s.Len() != 0 || s.Stats().Entries != 0 {
 		t.Fatalf("nil store not empty")
@@ -100,10 +104,10 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _ := s.GetOrCompute("hot", func() any {
+			v, _ := s.GetOrCompute("hot", func() (any, bool) {
 				computed.Add(1)
 				<-release // hold the computation open so others must join
-				return 42
+				return 42, true
 			})
 			vals[i] = v.(int)
 		}(i)
@@ -216,9 +220,9 @@ func TestGetOrComputeConcurrentDistinctKeys(t *testing.T) {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				v, _ := s.GetOrCompute(fmt.Sprintf("key%02d", k), func() any {
+				v, _ := s.GetOrCompute(fmt.Sprintf("key%02d", k), func() (any, bool) {
 					computed.Add(1)
-					return k * 10
+					return k * 10, true
 				})
 				if v.(int) != k*10 {
 					t.Errorf("key %d got %v", k, v)
@@ -273,10 +277,10 @@ func TestSingleflightRacesEviction(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				v, _ := s.GetOrCompute("hot", func() any {
+				v, _ := s.GetOrCompute("hot", func() (any, bool) {
 					computed.Add(1)
 					runtime.Gosched() // widen the in-flight window
-					return "hotval"
+					return "hotval", true
 				})
 				if v.(string) != "hotval" {
 					t.Errorf("GetOrCompute(hot) = %v; want hotval", v)
@@ -322,4 +326,97 @@ func TestShardGaugeNames(t *testing.T) {
 	if shardGaugeName(0) != "solstore.shard.00.entries" {
 		t.Fatalf("gauge name = %q", shardGaugeName(0))
 	}
+}
+
+// TestGetOrComputeDeclined checks the decline path: a value fn does not
+// keep reaches its caller but is not stored, so the next lookup runs fn
+// again.
+func TestGetOrComputeDeclined(t *testing.T) {
+	s := New(Options{Capacity: 8, Shards: 1})
+	calls := 0
+	fn := func() (any, bool) { calls++; return calls, false }
+	for want := 1; want <= 2; want++ {
+		v, shared := s.GetOrCompute("k", fn)
+		if shared || v.(int) != want {
+			t.Fatalf("call %d: GetOrCompute = %v, %v; want %d, false", want, v, shared, want)
+		}
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v; want 2 misses and nothing stored", st)
+	}
+}
+
+// TestDeclinedValueReachesWaiters checks that callers joined to an
+// in-flight computation share its value even when it is not kept.
+func TestDeclinedValueReachesWaiters(t *testing.T) {
+	s := New(Options{Capacity: 8, Shards: 1})
+	var computed atomic.Int64
+	release := make(chan struct{})
+	const callers = 6
+	var wg sync.WaitGroup
+	vals := make([]any, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], _ = s.GetOrCompute("err", func() (any, bool) {
+				computed.Add(1)
+				<-release
+				return "failed", false
+			})
+		}(i)
+	}
+	for computed.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, v := range vals {
+		if v != "failed" {
+			t.Fatalf("caller %d got %v; want the declined value", i, v)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("declined value stored (%d entries)", s.Len())
+	}
+	if st := s.Stats(); st.Misses != computed.Load() || st.Misses+st.Dedups+st.Hits != callers {
+		t.Fatalf("stats = %+v after %d computations; want one miss each, the rest joined", st, computed.Load())
+	}
+}
+
+// TestFrontEndStageApart checks that the front-end stage is bounded at
+// frontEndEntries, counts under its own counters and never touches the
+// solution entries or their hit/miss counters.
+func TestFrontEndStageApart(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Options{Capacity: 4, Shards: 1, Metrics: reg})
+	s.Put("region|a", 1)
+	keep := func(v int) func() (any, bool) { return func() (any, bool) { return v, true } }
+	for i := 0; i < frontEndEntries+3; i++ {
+		s.FrontEnd(fmt.Sprintf("frontend|%02d", i), keep(i))
+	}
+	v, shared := s.FrontEnd(fmt.Sprintf("frontend|%02d", frontEndEntries+2), keep(-1))
+	if !shared || v.(int) != frontEndEntries+2 {
+		t.Fatalf("FrontEnd hit = %v, %v; want the stored value", v, shared)
+	}
+	s.FrontEnd("frontend|bad", func() (any, bool) { return "error", false })
+
+	st := s.Stats()
+	want := StageStats{Hits: 1, Misses: frontEndEntries + 4, Evictions: 3, Entries: frontEndEntries}
+	if st.FrontEnd != want {
+		t.Fatalf("front-end stats = %+v; want %+v", st.FrontEnd, want)
+	}
+	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 1 {
+		t.Fatalf("solution stats = %+v; want untouched by the front-end stage", st)
+	}
+	if _, ok := s.Get("region|a"); !ok {
+		t.Fatalf("front-end traffic evicted a solution")
+	}
+	if got := reg.Counter("solstore.frontend.misses").Value(); got != frontEndEntries+4 {
+		t.Fatalf("solstore.frontend.misses = %d; want %d", got, frontEndEntries+4)
+	}
+	if got := reg.Gauge("solstore.frontend.entries").Value(); got != frontEndEntries {
+		t.Fatalf("solstore.frontend.entries = %v; want %d", got, frontEndEntries)
+	}
+
 }
