@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint perfbench bench-json bench-check serve-smoke
+.PHONY: check fmt vet build test examples race lint perfbench bench-json bench-check serve-smoke
 
-check: fmt vet lint build test race perfbench serve-smoke
+check: fmt vet lint build test examples race perfbench serve-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,6 +22,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run every example program (`go build` only compiles them); a non-zero
+# exit fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # -short keeps the race gate in the low minutes: the heaviest
 # sequential solves are skipped (plain `make test` still runs them

@@ -11,8 +11,8 @@ import (
 	"repro/internal/serve"
 )
 
-// recurrenceSrc has a DOALL loop feeding a recurrence loop, which the
-// pipelining extension can split into stages.
+// recurrenceSrc has a DOALL loop, which the planner can split into
+// iteration chunks, feeding a recurrence loop, which stays sequential.
 const recurrenceSrc = `
 #define N 128
 float x[N]; float y[N]; float a1; float a2;
@@ -27,12 +27,12 @@ void main(void) {
 `
 
 // planVariants are the four option sets one program is planned under:
-// both scenarios, pipelining off and on.
+// platforms A and B, both scenarios.
 func planVariants() []heteropar.Options {
 	var out []heteropar.Options
-	for _, sc := range []heteropar.Scenario{heteropar.Accelerator, heteropar.SlowerCores} {
-		for _, pipe := range []bool{false, true} {
-			out = append(out, heteropar.Options{Platform: heteropar.PlatformA(), Scenario: sc, EnablePipelining: pipe})
+	for _, pf := range []*heteropar.Platform{heteropar.PlatformA(), heteropar.PlatformB()} {
+		for _, sc := range []heteropar.Scenario{heteropar.Accelerator, heteropar.SlowerCores} {
+			out = append(out, heteropar.Options{Platform: pf, Scenario: sc})
 		}
 	}
 	return out

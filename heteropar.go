@@ -117,11 +117,6 @@ type Options struct {
 	// every solve ends on a deterministic work budget, so the plan does
 	// not depend on machine speed; with it a plan may.
 	MaxILPTime time.Duration
-	// DisableChunking turns DOALL iteration splitting off (ablation).
-	DisableChunking bool
-	// EnablePipelining turns on the software-pipelining extension for
-	// recurrence loops (beyond the published tool; see DESIGN.md).
-	EnablePipelining bool
 	// SkipSimulation omits the MPSoC measurement (faster; the report's
 	// Measured* fields stay zero).
 	SkipSimulation bool
@@ -210,14 +205,12 @@ func Parallelize(source string, opts Options) (*Report, error) {
 	prog := g.Program
 	mainClass := opts.Scenario.MainClass(opts.Platform)
 	cfg := core.Config{
-		ILPTimeout:       opts.MaxILPTime,
-		DisableChunking:  opts.DisableChunking,
-		EnablePipelining: opts.EnablePipelining,
-		Store:            opts.Store,
-		Tracer:           tr,
-		Metrics:          opts.Metrics,
-		Events:           opts.Events,
-		Audit:            analysis.AuditResult,
+		ILPTimeout: opts.MaxILPTime,
+		Store:      opts.Store,
+		Tracer:     tr,
+		Metrics:    opts.Metrics,
+		Events:     opts.Events,
+		Audit:      analysis.AuditResult,
 	}
 	span := tr.Start("parallelize", obs.Int("main_class", mainClass))
 	res, err := core.Parallelize(g, opts.Platform, mainClass, opts.Approach, cfg)

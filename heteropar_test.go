@@ -176,33 +176,6 @@ func TestGanttAndEnergyReporting(t *testing.T) {
 	}
 }
 
-func TestPipeliningOptionViaFacade(t *testing.T) {
-	src := `
-#define N 256
-float x[N]; float y[N]; float a1; float a2;
-void main(void) {
-    for (int i = 0; i < N; i++) { x[i] = sin(i * 0.1); }
-    for (int n = 0; n < N; n++) {
-        a1 = a1 * 0.9 + x[n] * 0.1;
-        a2 = a2 * 0.8 + a1 * a1 + sqrt(fabs(a1) + 1.0);
-        y[n] = a2 * a2 + sqrt(fabs(a2) + 2.0);
-    }
-}
-`
-	plain, err := heteropar.Parallelize(src, heteropar.Options{})
-	if err != nil {
-		t.Fatalf("plain: %v", err)
-	}
-	piped, err := heteropar.Parallelize(src, heteropar.Options{EnablePipelining: true})
-	if err != nil {
-		t.Fatalf("piped: %v", err)
-	}
-	if piped.MeasuredSpeedup <= plain.MeasuredSpeedup {
-		t.Errorf("pipelining should raise the measured speedup: %.2f vs %.2f",
-			piped.MeasuredSpeedup, plain.MeasuredSpeedup)
-	}
-}
-
 func TestGenerateGoFromReport(t *testing.T) {
 	rep, err := heteropar.Parallelize(demoSrc, heteropar.Options{SkipSimulation: true})
 	if err != nil {

@@ -768,20 +768,6 @@ func (v *verifier) sectionExcused(a, b *htg.Node) bool {
 		conflictDisjoint(a.Acc.Writes.Intersect(b.Acc.Writes), fa.writes, fb.writes)
 }
 
-// flowExcused reports whether the flow conflict (a writes, b reads) alone
-// is refuted by enumeration.
-func (v *verifier) flowExcused(a, b *htg.Node) bool {
-	if a == nil || b == nil || a.Stmt == nil || b.Stmt == nil || a.Acc == nil || b.Acc == nil {
-		return false
-	}
-	fa, aok := v.footprintOf(a.Stmt)
-	fb, bok := v.footprintOf(b.Stmt)
-	if !aok || !bok {
-		return false
-	}
-	return conflictDisjoint(a.Acc.Writes.Intersect(b.Acc.Reads), fa.writes, fb.reads)
-}
-
 // VerifyGraphSections re-proves every dependence edge the section analysis
 // dropped during HTG construction, using the concrete enumerator as a
 // second, independent implementation. A dropped edge the enumerator cannot

@@ -21,7 +21,6 @@ func suiteConfig() core.Config {
 		MaxTasksPerRegion: 4,
 		MaxILPNodes:       60,
 		ILPRelGap:         0.05,
-		EnablePipelining:  true,
 	}
 }
 

@@ -154,8 +154,6 @@ func (v *verifier) solution(sol *core.Solution) {
 		v.taskParallel(sol)
 	case core.KindChunked:
 		v.chunked(sol)
-	case core.KindPipelined:
-		v.pipelined(sol)
 	default:
 		v.add(sol.Node, sol, "structure", fmt.Sprintf("unknown solution kind %d", int(sol.Kind)))
 	}
@@ -266,10 +264,9 @@ func (v *verifier) procsAndBudget(sol *core.Solution) {
 }
 
 // place maps every statement item's HTG child to its (task, position) and
-// recurses into sub-solutions; duplicate and missing children are
-// structural violations. requireAll demands that every child of the region
-// node is planned (true for statement and pipeline regions).
-func (v *verifier) place(sol *core.Solution, requireAll bool) (taskOf, posOf map[*htg.Node]int) {
+// recurses into sub-solutions; duplicate children and children of the
+// region node missing from the plan are structural violations.
+func (v *verifier) place(sol *core.Solution) (taskOf, posOf map[*htg.Node]int) {
 	taskOf = map[*htg.Node]int{}
 	posOf = map[*htg.Node]int{}
 	for ti, tp := range sol.Tasks {
@@ -300,11 +297,9 @@ func (v *verifier) place(sol *core.Solution, requireAll bool) (taskOf, posOf map
 			}
 		}
 	}
-	if requireAll {
-		for _, c := range sol.Node.Children {
-			if _, ok := taskOf[c]; !ok {
-				v.add(sol.Node, sol, "structure", fmt.Sprintf("child %s missing from the plan", c.Label))
-			}
+	for _, c := range sol.Node.Children {
+		if _, ok := taskOf[c]; !ok {
+			v.add(sol.Node, sol, "structure", fmt.Sprintf("child %s missing from the plan", c.Label))
 		}
 	}
 	return taskOf, posOf
@@ -359,7 +354,7 @@ func (v *verifier) taskParallel(sol *core.Solution) {
 		return
 	}
 	node := sol.Node
-	taskOf, posOf := v.place(sol, true)
+	taskOf, posOf := v.place(sol)
 
 	// Every conflicting pair needs an ordering the simulator enforces:
 	// same task = program order of the task's items; different tasks = a
@@ -599,95 +594,6 @@ func (v *verifier) chunked(sol *core.Solution) {
 		}
 	}
 	v.checkClaimed(sol, exec)
-	v.procsAndBudget(sol)
-}
-
-// pipelined audits a software pipeline: stages must be monotone in program
-// order, no loop-carried flow dependence may run backwards across stages,
-// and the claimed makespan must match iterations x bottleneck + fill.
-func (v *verifier) pipelined(sol *core.Solution) {
-	if !v.shape(sol) {
-		return
-	}
-	node := sol.Node
-	if node.Kind != htg.KindLoop {
-		v.add(node, sol, "structure", "pipelined solution for a non-loop node")
-		return
-	}
-	iters := maxChildIters(node)
-	taskOf, posOf := v.place(sol, true)
-
-	kids := node.Children
-	for i := 0; i < len(kids); i++ {
-		for j := i + 1; j < len(kids); j++ {
-			a, b := kids[i], kids[j]
-			ta, aok := taskOf[a]
-			tb, bok := taskOf[b]
-			if !aok || !bok || a.Acc == nil || b.Acc == nil {
-				continue
-			}
-			// A backward loop-carried flow (later child feeds an earlier
-			// one in the next iteration) disqualifies pipelining entirely —
-			// unless concrete enumeration re-proves the flow's element sets
-			// disjoint (the builder dropped it by section analysis).
-			if back := dataflow.DependsOn(b.Acc, a.Acc); back.Kind.Has(dataflow.DepFlow) && !v.flowExcused(b, a) {
-				v.add(node, sol, "race",
-					fmt.Sprintf("%s feeds %s across iterations: backward flow forbids pipelining", b.Label, a.Label))
-			}
-			d := dataflow.DependsOn(a.Acc, b.Acc)
-			if !d.Exists() {
-				continue
-			}
-			switch {
-			case ta == tb:
-				if posOf[a] >= posOf[b] {
-					v.add(node, sol, "order",
-						fmt.Sprintf("%s must run before %s (%s dependence) but stage %d lists them in the wrong order",
-							a.Label, b.Label, d.Kind, ta))
-				}
-			case ta > tb:
-				if !v.sectionExcused(a, b) {
-					v.add(node, sol, "order",
-						fmt.Sprintf("%s (stage %d) precedes %s (stage %d) in program order: stages must be monotone",
-							a.Label, ta, b.Label, tb))
-				}
-			default:
-				if !hasEdge(a, b) && !v.sectionExcused(a, b) {
-					v.add(node, sol, "race",
-						fmt.Sprintf("%s (stage %d) and %s (stage %d) conflict (%s) without a forwarding edge",
-							a.Label, ta, b.Label, tb, d.Kind))
-				}
-			}
-		}
-	}
-
-	// Makespan recomputation: per-iteration stage times including the
-	// forwarding cost of edges leaving each stage; the pipeline runs
-	// iters x bottleneck plus one fill pass plus the spawn overhead.
-	spawnNs := float64(node.TotalCount) * v.pf.TaskCreateNs
-	nT := len(sol.Tasks)
-	stage := make([]float64, nT)
-	for ti, tp := range sol.Tasks {
-		for _, it := range tp.Items {
-			stage[ti] += v.itemCost(it, tp.Class) / iters
-			if it.Child == nil {
-				continue
-			}
-			for _, e := range it.Child.Edges {
-				if to, ok := taskOf[e.To]; ok && to != ti && e.Bytes > 0 {
-					stage[ti] += v.pf.CommCostNs(e.Bytes) * float64(e.To.TotalCount) / iters
-				}
-			}
-		}
-	}
-	bottleneck, fill := 0.0, spawnNs
-	for _, st := range stage {
-		fill += st
-		if st > bottleneck {
-			bottleneck = st
-		}
-	}
-	v.checkClaimed(sol, iters*bottleneck+fill)
 	v.procsAndBudget(sol)
 }
 

@@ -120,7 +120,7 @@ func (g *Generator) emitItem(it *core.ItemPlan) error {
 				return g.emitSolution(it.Sub)
 			}
 		}
-		// Pipelined / loop-level fork-join: sequential fallback.
+		// Loop-level fork-join: sequential fallback.
 	}
 	return g.seqNode(it.Child)
 }

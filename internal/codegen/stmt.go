@@ -55,10 +55,6 @@ func exprType(e minic.Expr) minic.BasicKind {
 			return minic.Int
 		}
 		return minic.Float
-	case *minic.AssignExpr:
-		return exprType(ex.LHS)
-	case *minic.IncDecExpr:
-		return exprType(ex.X)
 	case *minic.CastExpr:
 		return ex.To
 	}
@@ -104,10 +100,6 @@ func (g *Generator) expr(e minic.Expr) string {
 		return g.call(ex)
 	case *minic.CastExpr:
 		return g.exprConv(ex.X, ex.To)
-	case *minic.AssignExpr, *minic.IncDecExpr:
-		// Only valid as statements in the generated code; the parser keeps
-		// them out of value positions in all shipped programs.
-		return "/* assignment in value position unsupported */"
 	}
 	return "0"
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,41 +19,50 @@ func TestConfigFingerprint(t *testing.T) {
 	if zero.Fingerprint() != expl.Fingerprint() {
 		t.Errorf("zero config fingerprint %q != defaulted %q", zero.Fingerprint(), expl.Fingerprint())
 	}
-	// Observability sinks must not affect the fingerprint.
-	instr := expl
-	instr.Tracer = obs.NewTracer()
-	instr.Metrics = obs.NewRegistry()
-	if instr.Fingerprint() != expl.Fingerprint() {
-		t.Errorf("observer changed the fingerprint")
-	}
-	// The shared store must not either: it is guaranteed output-neutral
-	// (region keys cover every solver-visible input), so cached
-	// whole-run outcomes stay valid across store configurations.
-	sched := expl
-	sched.Store = solstore.New(solstore.Options{})
-	if sched.Fingerprint() != expl.Fingerprint() {
-		t.Errorf("Store changed the fingerprint")
+	// Output-neutral fields must not affect the fingerprint: the
+	// observability sinks and the audit hook never change which
+	// solutions are produced, and the shared store is guaranteed
+	// output-neutral (region keys cover every solver-visible input), so
+	// cached whole-run outcomes stay valid across store configurations.
+	neutral := map[string]func(*Config){
+		"Tracer":  func(c *Config) { c.Tracer = obs.NewTracer() },
+		"Metrics": func(c *Config) { c.Metrics = obs.NewRegistry() },
+		"Events":  func(c *Config) { c.Events = obs.NewEventLog(io.Discard) },
+		"Audit":   func(c *Config) { c.Audit = func(*Result) error { return nil } },
+		"Store":   func(c *Config) { c.Store = solstore.New(solstore.Options{}) },
 	}
 	// Every solver-relevant knob must affect it.
-	muts := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"items", func(c *Config) { c.MaxItemsPerILP = 8 }},
-		{"cands", func(c *Config) { c.MaxCandsPerClass = 3 }},
-		{"tasks", func(c *Config) { c.MaxTasksPerRegion = 4 }},
-		{"nodes", func(c *Config) { c.MaxILPNodes = 100 }},
-		{"timeout", func(c *Config) { c.ILPTimeout = time.Second }},
-		{"gap", func(c *Config) { c.ILPRelGap = 0.05 }},
-		{"chunking", func(c *Config) { c.DisableChunking = true }},
-		{"pipelining", func(c *Config) { c.EnablePipelining = true }},
-		{"hierarchy", func(c *Config) { c.DisableHierarchy = true }},
+	muts := map[string]func(*Config){
+		"MaxItemsPerILP":    func(c *Config) { c.MaxItemsPerILP = 8 },
+		"MaxCandsPerClass":  func(c *Config) { c.MaxCandsPerClass = 3 },
+		"MaxTasksPerRegion": func(c *Config) { c.MaxTasksPerRegion = 4 },
+		"MaxILPNodes":       func(c *Config) { c.MaxILPNodes = 100 },
+		"ILPTimeout":        func(c *Config) { c.ILPTimeout = time.Second },
+		"ILPRelGap":         func(c *Config) { c.ILPRelGap = 0.05 },
+		"DisableChunking":   func(c *Config) { c.DisableChunking = true },
+		"DisableHierarchy":  func(c *Config) { c.DisableHierarchy = true },
 	}
-	for _, m := range muts {
+	// Every field is classified, so a field added later without a
+	// fingerprint term (or a neutral entry) fails here.
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		if muts[name] == nil && neutral[name] == nil {
+			t.Errorf("Config.%s has neither a fingerprint mutation nor an output-neutral entry", name)
+		}
+	}
+	for name, mut := range neutral {
 		c := expl
-		m.mut(&c)
+		mut(&c)
+		if c.Fingerprint() != expl.Fingerprint() {
+			t.Errorf("%s changed the fingerprint", name)
+		}
+	}
+	for name, mut := range muts {
+		c := expl
+		mut(&c)
 		if c.Fingerprint() == expl.Fingerprint() {
-			t.Errorf("%s change did not change the fingerprint", m.name)
+			t.Errorf("%s change did not change the fingerprint", name)
 		}
 	}
 	if strings.ContainsAny(zero.Fingerprint(), "\n") {

@@ -13,7 +13,7 @@ import (
 // solveMeta identifies one region solve for telemetry.
 type solveMeta struct {
 	region string // HTG node label of the region
-	model  string // "tasks", "chunks" or "pipeline"
+	model  string // "tasks" or "chunks"
 	class  int    // main-task class under consideration
 	tasks  int    // task-count bound of this sweep step
 }

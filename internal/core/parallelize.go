@@ -60,10 +60,6 @@ type Config struct {
 	ILPRelGap float64
 	// DisableChunking turns DOALL iteration splitting off (ablation).
 	DisableChunking bool
-	// EnablePipelining turns on the decoupled-software-pipelining extension
-	// for recurrence loops (the paper's future-work direction; off by
-	// default to reproduce the published tool).
-	EnablePipelining bool
 	// DisableHierarchy runs a single flat ILP over the root region only
 	// (ablation; inner nodes keep sequential candidates only).
 	DisableHierarchy bool
@@ -103,9 +99,9 @@ type Config struct {
 // same reason — cache reuse is guaranteed not to change any output.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;pipe:%t;hier:%t",
+	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;hier:%t",
 		d.MaxItemsPerILP, d.MaxCandsPerClass, d.MaxTasksPerRegion, d.MaxILPNodes,
-		d.ILPTimeout, d.ILPRelGap, !d.DisableChunking, d.EnablePipelining, !d.DisableHierarchy)
+		d.ILPTimeout, d.ILPRelGap, !d.DisableChunking, !d.DisableHierarchy)
 }
 
 func (c Config) withDefaults() Config {
@@ -128,9 +124,8 @@ func (c Config) withDefaults() Config {
 type SolveRecord struct {
 	// Region names the HTG node whose child region was solved.
 	Region string
-	// Model is the ILP family: "tasks" (statement partitioning),
-	// "chunks" (DOALL iteration splitting) or "pipeline" (stage
-	// partitioning).
+	// Model is the ILP family: "tasks" (statement partitioning) or
+	// "chunks" (DOALL iteration splitting).
 	Model string
 	// Class is the main-task processor class of this solve; MaxTasks the
 	// task-count bound of the sweep step.
@@ -429,29 +424,6 @@ func (p *Parallelizer) parallelizeNode(n *htg.Node) []SolveRecord {
 					i = next
 				}
 				return sols
-			}})
-		}
-	}
-	// Future-work extension: pipeline the body of recurrence loops whose
-	// carried dependences only flow forward.
-	if p.cfg.EnablePipelining && n.Kind == htg.KindLoop &&
-		(n.Loop == nil || !n.Loop.Parallel) && pipelinable(n) {
-		iters := 0.0
-		for _, c := range n.Children {
-			if c.Count > iters {
-				iters = c.Count
-			}
-		}
-		rs := p.clusterRegion(p.statementRegion(n), p.cfg.MaxItemsPerILP)
-		// Pipelines are created once per loop entry, not per iteration.
-		rs.spawnCount = float64(n.TotalCount)
-		for seqPC := range p.pf.Classes {
-			seqPC := seqPC
-			units = append(units, &regionUnit{seqPC: seqPC, run: func(sub *Parallelizer) []*Solution {
-				if r := sub.solvePipeline(rs, iters, seqPC, sub.taskBound()); r != nil {
-					return []*Solution{r}
-				}
-				return nil
 			}})
 		}
 	}

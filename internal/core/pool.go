@@ -85,9 +85,9 @@ func (tp *tokenPool) release(t *poolToken) {
 
 // regionUnit is one independently solvable work packet of a node's
 // parallel-set construction: the full downward task-bound sweep of one
-// (region, main-class) pair, or one pipeline class. Units run
-// concurrently on the region pool and are merged in unit order, which
-// reproduces the sequential solve and record order exactly.
+// (region, main-class) pair. Units run concurrently on the region pool
+// and are merged in unit order, which reproduces the sequential solve
+// and record order exactly.
 type regionUnit struct {
 	seqPC int
 	run   func(sub *Parallelizer) []*Solution

@@ -252,9 +252,9 @@ func (it *regionItem) nodeOr(fallback *htg.Node) *htg.Node {
 // seqCandOn returns the item's purely sequential candidate on class c.
 // Matching on Kind matters: a single-task candidate can still carry an
 // inner-parallel sub-solution (extra processors), and the callers here —
-// pipeline stages, chunk costs, merged super-items — all budget exactly one
-// unit for the item. The pruned front always retains the sequential
-// candidate (it is the unique one-processor point, hence the leanest end).
+// chunk costs and merged super-items — both budget exactly one unit for
+// the item. The pruned front always retains the sequential candidate (it
+// is the unique one-processor point, hence the leanest end).
 func seqCandOn(it *regionItem, c int) *Solution {
 	for _, s := range it.cands[c] {
 		if s.Kind == KindSequential {

@@ -38,8 +38,6 @@ type regionAssignment struct {
 	ClassOf []int
 	// Obj is the solver objective (the solution's TimeNs).
 	Obj float64
-	// Pipelined marks stage-partitioning results (KindPipelined).
-	Pipelined bool
 }
 
 // regionOutcome is the store value of one region solve. A nil Asg
@@ -106,14 +104,8 @@ func (p *Parallelizer) noteRegionSolve(model string, cached bool, d time.Duratio
 // solveRegion runs one region ILP (tasks or chunks model per rs.kind)
 // through the shared store.
 func (p *Parallelizer) solveRegion(rs *regionSpec, seqPC, maxTasks int) *Solution {
-	return p.recallRegion(rs, regionModel(rs), p.regionKey(rs, seqPC, maxTasks, 0, false), seqPC,
+	return p.recallRegion(rs, regionModel(rs), p.regionKey(rs, seqPC, maxTasks), seqPC,
 		func(sub *Parallelizer) *regionAssignment { return sub.regionSolver(rs, seqPC, maxTasks) })
-}
-
-// solvePipeline is solveRegion for the stage-partitioning model.
-func (p *Parallelizer) solvePipeline(rs *regionSpec, iters float64, seqPC, maxTasks int) *Solution {
-	return p.recallRegion(rs, "pipeline", p.regionKey(rs, seqPC, maxTasks, iters, true), seqPC,
-		func(sub *Parallelizer) *regionAssignment { return sub.ilpParPipeline(rs, iters, seqPC, maxTasks) })
 }
 
 // recallRegion serves one region solve from the store under key, or
@@ -157,18 +149,11 @@ func (p *Parallelizer) assembleFromAssignment(rs *regionSpec, a *regionAssignmen
 			chosen[n] = seqCandOn(it, a.CandClass[n])
 		}
 	}
-	sol := p.assembleSolution(rs, a.TaskOf, chosen, a.ClassOf, seqPC, a.Obj)
-	if sol == nil {
-		return nil
-	}
-	if a.Pipelined {
-		sol.Kind = KindPipelined
-	}
-	return sol
+	return p.assembleSolution(rs, a.TaskOf, chosen, a.ClassOf, seqPC, a.Obj)
 }
 
 // regionKey computes the canonical fingerprint of one region solve.
-func (p *Parallelizer) regionKey(rs *regionSpec, seqPC, maxTasks int, iters float64, pipeline bool) string {
+func (p *Parallelizer) regionKey(rs *regionSpec, seqPC, maxTasks int) string {
 	h := sha256.New()
 	var buf [8]byte
 	wu := func(v uint64) {
@@ -190,12 +175,6 @@ func (p *Parallelizer) regionKey(rs *regionSpec, seqPC, maxTasks int, iters floa
 	}
 	wi(seqPC)
 	wi(maxTasks)
-	if pipeline {
-		wi(1)
-	} else {
-		wi(0)
-	}
-	wf(iters)
 	wi(int(rs.kind))
 	wf(rs.spawnCount)
 	wi(len(rs.items))

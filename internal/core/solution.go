@@ -27,10 +27,6 @@ const (
 	KindTaskParallel
 	// KindChunked splits a DOALL loop's iteration space over tasks.
 	KindChunked
-	// KindPipelined splits a recurrence loop's body into stages that
-	// overlap across iterations (decoupled software pipelining; the
-	// paper's stated future-work extension).
-	KindPipelined
 )
 
 // String names the kind.
@@ -42,8 +38,6 @@ func (k SolutionKind) String() string {
 		return "tasks"
 	case KindChunked:
 		return "chunked"
-	case KindPipelined:
-		return "pipelined"
 	}
 	return fmt.Sprintf("SolutionKind(%d)", int(k))
 }

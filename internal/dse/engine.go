@@ -37,16 +37,15 @@ func PrepareWorkload(p *experiments.Prepared) *Workload {
 // much smaller problem size (clustering, candidate and task-bound caps)
 // and branch-and-bound allowance than the single-program default — the
 // sweep solves hundreds of pipelines, each within a few percent of its
-// full-budget solution — with a timeout high enough that the
-// deterministic node cap, never the wall clock, truncates searches.
-// That keeps sweep outputs byte-identical across runs.
+// full-budget solution. It sets no wall-clock cap, so the deterministic
+// node cap or the gap ends every search and sweep outputs do not depend
+// on machine speed or load.
 func SweepConfig() core.Config {
 	return core.Config{
 		MaxItemsPerILP:    8,
 		MaxCandsPerClass:  3,
 		MaxTasksPerRegion: 4,
 		MaxILPNodes:       60,
-		ILPTimeout:        120 * time.Second,
 		ILPRelGap:         0.05,
 	}
 }

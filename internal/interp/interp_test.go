@@ -210,20 +210,33 @@ int pick(int k) {
 }
 
 func TestTernaryCastIncDec(t *testing.T) {
+	// ++ and -- are statements in mini-C: the checker rejects them as
+	// values, so no evaluator ever has to pick which value they yield.
+	_, err := minic.Compile(`
+int a;
+void main(void) {
+    int x = 5;
+    a = x > 3 ? x++ : --x;
+}
+`)
+	want := "5:18: error: ++ used as a value: it is allowed only as a statement or a for init/post\n" +
+		"5:23: error: -- used as a value: it is allowed only as a statement or a for init/post"
+	if err == nil || err.Error() != want {
+		t.Errorf("compile error = %v, want %q", err, want)
+	}
 	in, _ := run(t, `
 int a; float f;
 void main(void) {
     int x = 5;
-    a = x > 3 ? x++ : --x;  // a = 5 (x++ returns new value in our eval? see below)
+    a = x > 3 ? x + 1 : x - 1;  // a = 6
+    x++;
+    --x;
     f = (float)(7 / 2) + 0.5;
-    a = a + (int)3.9;
+    a = a + (int)3.9 + x;       // 6 + 3 + 5
 }
 `)
-	// Note: evalIncDec returns the post-update value (like ++x) for both
-	// forms; mini-C documents ++/-- as statements, so only the side effect
-	// is load-bearing. a = 6 + 3 = 9 here.
-	if got := in.GlobalValue("a").AsInt(); got != 9 {
-		t.Errorf("a = %d, want 9", got)
+	if got := in.GlobalValue("a").AsInt(); got != 14 {
+		t.Errorf("a = %d, want 14", got)
 	}
 	if got := in.GlobalValue("f").AsFloat(); got != 3.5 {
 		t.Errorf("f = %g, want 3.5", got)

@@ -139,12 +139,14 @@ func TestProfileParity(t *testing.T) {
 
 // parityCases pin the evaluator's quirks and every runtime error. Each
 // program stores its result in the global r; want is r's value, or the
-// exact error or panic text.
+// exact error or panic text, or the checker's exact diagnostics for a
+// program it rejects. Assignments and ++/-- used as values are rejected,
+// so the cases named for the value they yield pin that rejection.
 var parityCases = []struct {
 	name, src, want string
 }{
-	{"incdec yields the new value", `int r; void main(void) { int i = 3; r = i++; }`, "r=4"},
-	{"predec yields the new value", `int r; void main(void) { int i = 3; r = --i + i--; }`, "r=3"},
+	{"incdec yields the new value", `int r; void main(void) { int i = 3; r = i++; }`, "1:42: error: ++ used as a value: it is allowed only as a statement or a for init/post"},
+	{"predec yields the new value", `int r; void main(void) { int i = 3; r = --i + i--; }`, "1:41: error: -- used as a value: it is allowed only as a statement or a for init/post\n1:48: error: -- used as a value: it is allowed only as a statement or a for init/post"},
 	{"cond takes the branch's type", `float r; void main(void) { int c = 1; r = (c ? 1 : 2.0) / 2; }`, "r=0"},
 	{"cond else branch", `float r; void main(void) { int c = 0; r = (c ? 1 : 2.0) / 4; }`, "r=0.5"},
 	{"float function returning an int", `float r; float f(void) { return 1; } void main(void) { r = f() / 2; }`, "r=0"},
@@ -161,7 +163,7 @@ var parityCases = []struct {
 	{"rhs before lhs indices", `int r; int a[3]; int first(void) { r = r * 10 + 1; return 0; } int second(void) { r = r * 10 + 2; return 5; } void main(void) { a[first()] = second(); }`, "r=21"},
 	{"element compound assignment and incdec", `int r; int a[3]; void main(void) { a[1] += 2; a[2]++; --a[0]; r = a[0] + a[1] * 10 + a[2] * 100; }`, "r=119"},
 	{"compound assignment converts", `int r; void main(void) { r = 5; r += 2.7; r *= 1.5; }`, "r=10"},
-	{"assignment yields the stored value", `int r; void main(void) { float f; r = (f = 7) / 2; }`, "r=3"},
+	{"assignment yields the stored value", `int r; void main(void) { float f; r = (f = 7) / 2; }`, "1:42: error: assignment used as a value: it is allowed only as a statement or a for init/post"},
 	{"short circuit", `int r; void main(void) { int z = 0; r = (z && 1 / z) + (1 || 1 / z) * 2; }`, "r=2"},
 	{"array params take dims from the argument", `int r; int rows(int m[][4]) { return m[2][3]; } void main(void) { int a[3][4]; a[2][3] = 6; r = rows(a); }`, "r=6"},
 	{"row view argument", `int r; int s(int v[4]) { int t = 0; for (int i = 0; i < 4; i++) { t += v[i]; v[i] = i; } return t; } void main(void) { int m[2][4] = {{1, 2, 3, 4}, {5, 6, 7, 8}}; r = s(m[1]) * 100 + m[1][3]; }`, "r=2603"},
@@ -207,25 +209,61 @@ func outcomeText(in *Interp, o outcome) string {
 	return fmt.Sprintf("r=%d", r.I)
 }
 
+// statementForms rewrites each parity case the checker rejects with the
+// same updates made as statements, and the result that rewrite stores.
+// TestParityCases runs the rewrite after pinning the rejection, and
+// FuzzProfileParity seeds it in place of the rejected program.
+var statementForms = map[string]struct{ src, want string }{
+	"incdec yields the new value":        {`int r; void main(void) { int i = 3; i++; r = i; }`, "r=4"},
+	"predec yields the new value":        {`int r; void main(void) { int i = 3; --i; r = i; i--; r += i; }`, "r=3"},
+	"assignment yields the stored value": {`int r; void main(void) { float f; f = 7; r = f / 2; }`, "r=3"},
+}
+
+// seedSource is the program FuzzProfileParity seeds for a parity case.
+func seedSource(name, src string) string {
+	if sf, ok := statementForms[name]; ok {
+		return sf.src
+	}
+	return src
+}
+
 func TestParityCases(t *testing.T) {
 	for _, tc := range parityCases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := minic.Compile(tc.src)
 			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			for _, fp := range []bool{false, true} {
-				want, got := runBoth(prog, 2000, fp)
-				if d := diffOutcomes(want, got); d != "" {
-					t.Fatalf("footprints=%v: %s", fp, d)
+				if err.Error() != tc.want {
+					t.Fatalf("compile: got %q, want %q", err, tc.want)
 				}
+				sf, ok := statementForms[tc.name]
+				if !ok {
+					return
+				}
+				if prog, err = minic.Compile(sf.src); err != nil {
+					t.Fatalf("statement form: compile: %v", err)
+				}
+				checkParityCase(t, prog, sf.want)
+				return
 			}
-			in := New(prog)
-			in.StepLimit = 2000
-			if got := outcomeText(in, observe(prog, in)); got != tc.want {
-				t.Errorf("got %q, want %q", got, tc.want)
-			}
+			checkParityCase(t, prog, tc.want)
 		})
+	}
+}
+
+// checkParityCase runs prog on both evaluators, with and without
+// footprints, and compares the executor's outcome with want.
+func checkParityCase(t *testing.T, prog *minic.Program, want string) {
+	t.Helper()
+	for _, fp := range []bool{false, true} {
+		ref, got := runBoth(prog, 2000, fp)
+		if d := diffOutcomes(ref, got); d != "" {
+			t.Fatalf("footprints=%v: %s", fp, d)
+		}
+	}
+	in := New(prog)
+	in.StepLimit = 2000
+	if got := outcomeText(in, observe(prog, in)); got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
@@ -288,7 +326,7 @@ func FuzzProfileParity(f *testing.F) {
 		f.Add([]byte(b.Source))
 	}
 	for _, tc := range parityCases {
-		f.Add([]byte(tc.src))
+		f.Add([]byte(seedSource(tc.name, tc.src)))
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		prog, err := minic.Compile(string(src))

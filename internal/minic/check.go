@@ -203,7 +203,7 @@ func (c *checker) checkStmt(s Stmt) {
 		c.checkStorage(st.Pos, st.Name, st.Type, st.Init, st.List)
 		st.Sym = c.declare(st.Pos, st.Name, SymLocal, st.Type)
 	case *ExprStmt:
-		c.exprType(st.X)
+		c.effect(st.X)
 	case *BlockStmt:
 		c.checkBlock(st, true)
 	case *IfStmt:
@@ -222,7 +222,7 @@ func (c *checker) checkStmt(s Stmt) {
 			c.scalar(st.Cond, "a condition")
 		}
 		if st.Post != nil {
-			c.exprType(st.Post)
+			c.effect(st.Post)
 		}
 		c.loop++
 		defer func() { c.loop-- }()
@@ -338,6 +338,28 @@ func (c *checker) exprType(e Expr) Type {
 		return tt
 	case *CallExpr:
 		return c.callType(ex)
+	case *AssignExpr, *IncDecExpr:
+		what := "assignment"
+		if id, ok := ex.(*IncDecExpr); ok {
+			what = id.Op.String()
+		}
+		c.errorf(ex.NodePos(), "value", "%s used as a value: it is allowed only as a statement or a for init/post", what)
+		return c.effect(ex)
+	case *CastExpr:
+		if t := c.exprType(ex.X); !t.IsScalar() {
+			c.errorf(ex.Pos, "type", "cannot cast an array value")
+		}
+		return ScalarType(ex.To)
+	}
+	c.errorf(Pos{}, "internal", "unhandled expression %T", e)
+	return ScalarType(Int)
+}
+
+// effect checks e where it runs for its side effect alone: as an
+// expression statement or a for init/post, the only places an assignment
+// or ++/-- may appear (mini-C gives them no value). It returns e's type.
+func (c *checker) effect(e Expr) Type {
+	switch ex := e.(type) {
 	case *AssignExpr:
 		lt := c.exprType(ex.LHS)
 		if !lt.IsScalar() {
@@ -365,14 +387,8 @@ func (c *checker) exprType(e Expr) Type {
 			t = ScalarType(Int)
 		}
 		return t
-	case *CastExpr:
-		if t := c.exprType(ex.X); !t.IsScalar() {
-			c.errorf(ex.Pos, "type", "cannot cast an array value")
-		}
-		return ScalarType(ex.To)
 	}
-	c.errorf(Pos{}, "internal", "unhandled expression %T", e)
-	return ScalarType(Int)
+	return c.exprType(e)
 }
 
 // scalar checks e, reporting a whole array where the grammar position

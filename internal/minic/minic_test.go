@@ -189,6 +189,11 @@ func TestCheckerErrors(t *testing.T) {
 		{"array with a scalar initializer", `int r; int k; int bump(void) { k = k + 1; return k; } void main(void) { int a[2] = bump(); r = a[0] + k; }`, "1:77: error: array a needs a brace initializer"},
 		{"array in a loop condition", `int m[2][3]; void main(void) { while (m[1]) { } for (; m; ) { } }`, "1:39: error: a condition must be a scalar, not an array of type int[3]\n1:56: error: a condition must be a scalar, not an array of type int[2][3]"},
 		{"global initialized from an array", `int a[2]; int x = a; void main(void) { }`, "1:19: error: an initializer must be a scalar, not an array of type int[2]"},
+		{"postfix increment as a value", `int r; void main(void) { int i = 3; r = i++; }`, "1:42: error: ++ used as a value: it is allowed only as a statement or a for init/post"},
+		{"chained assignment", `int a; int b; void main(void) { a = b = 1; }`, "1:39: error: assignment used as a value"},
+		{"increment in an index", `int a[4]; void main(void) { int i = 0; a[i++] = 1; }`, "1:43: error: ++ used as a value"},
+		{"assignments in conditions", `void main(void) { int x; if (x = 1) { } while (x -= 1) { } }`, "1:32: error: assignment used as a value: it is allowed only as a statement or a for init/post\n1:50: error: assignment used as a value"},
+		{"increments in initializers, arguments, returns and for conditions", `int g = 1; int h = g++; int f(int v) { return v++; } void main(void) { int j = --g; f(++g); for (g = 0; g++ < 3; ) { } }`, "1:21: error: ++ used as a value: it is allowed only as a statement or a for init/post\n1:48: error: ++ used as a value: it is allowed only as a statement or a for init/post\n1:80: error: -- used as a value: it is allowed only as a statement or a for init/post\n1:87: error: ++ used as a value: it is allowed only as a statement or a for init/post\n1:106: error: ++ used as a value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

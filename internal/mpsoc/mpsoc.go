@@ -233,9 +233,6 @@ func (s *Sim) execSolution(sol *core.Solution, main *Core, t0 float64) float64 {
 		s.labeled(nodeLabel(sol.Node))
 		return s.busy(main, t0, dur)
 	}
-	if sol.Kind == core.KindPipelined {
-		return s.execPipeline(sol, main, t0)
-	}
 	// Fork: creation of the extra tasks is serialized on the main core.
 	spawns := s.spawnCount(sol)
 	nExtra := float64(len(sol.Tasks) - 1)
@@ -343,96 +340,6 @@ func (s *Sim) execSolution(sol *core.Solution, main *Core, t0 float64) float64 {
 	// The main core is blocked until the join completes.
 	if end > main.freeAt {
 		main.freeAt = end
-	}
-	return end
-}
-
-// execPipeline models a software pipeline: iteration i's stage k overlaps
-// iteration i+1's stage k-1 once the pipe is full, so the makespan is the
-// fill (one pass through all stages) plus (iterations-1) times the
-// bottleneck stage, including its per-iteration forwarding transfer.
-func (s *Sim) execPipeline(sol *core.Solution, main *Core, t0 float64) float64 {
-	iters := 1.0
-	if sol.Node != nil {
-		for _, c := range sol.Node.Children {
-			if c.Count > iters {
-				iters = c.Count
-			}
-		}
-	}
-	spawns := s.spawnCount(sol)
-	nExtra := float64(len(sol.Tasks) - 1)
-	start := s.busy(main, t0, spawns*s.pf.TaskCreateNs*nExtra)
-
-	used := map[int]bool{main.ID: true}
-	stageCores := make([]*Core, len(sol.Tasks))
-	stageCores[0] = main
-	for i := 1; i < len(sol.Tasks); i++ {
-		c := s.reserve(sol.Tasks[i].Class, used)
-		if c == nil {
-			c = s.leastLoaded()
-		}
-		used[c.ID] = true
-		stageCores[i] = c
-	}
-
-	// Which stage owns which child, to price cross-stage forwarding.
-	stageOf := map[*htg.Node]int{}
-	for si, tp := range sol.Tasks {
-		for _, it := range tp.Items {
-			if it.Child != nil {
-				stageOf[it.Child] = si
-			}
-		}
-	}
-	fill := 0.0
-	bottleneck := 0.0
-	for si, tp := range sol.Tasks {
-		perIter := 0.0
-		for _, it := range tp.Items {
-			perIter += s.nodeDuration(it.Child, stageCores[si].Class, 1) / iters
-		}
-		// Forwarding: flow edges leaving this stage, once per iteration.
-		commIter := 0.0
-		for _, it := range tp.Items {
-			if it.Child == nil {
-				continue
-			}
-			for _, e := range it.Child.Edges {
-				if to, ok := stageOf[e.To]; ok && to != si && e.Bytes > 0 {
-					commIter += s.pf.CommCostNs(e.Bytes / int(iters+1))
-				}
-			}
-		}
-		stageTime := perIter + commIter
-		fill += stageTime
-		if stageTime > bottleneck {
-			bottleneck = stageTime
-		}
-	}
-	end := start + fill + (iters-1)*bottleneck
-	// All stage cores are busy for the steady-state span.
-	for _, c := range stageCores {
-		if end > c.freeAt {
-			from := math.Max(start, c.freeAt)
-			c.busyNs += end - from
-			c.freeAt = end
-			s.trace = append(s.trace, Segment{Core: c.ID, StartNs: from, EndNs: end, Label: "pipeline"})
-		}
-	}
-	// Bus usage: one forwarding transfer per iteration per crossing edge.
-	for si, tp := range sol.Tasks {
-		for _, it := range tp.Items {
-			if it.Child == nil {
-				continue
-			}
-			for _, e := range it.Child.Edges {
-				if to, ok := stageOf[e.To]; ok && to != si && e.Bytes > 0 {
-					s.transfers += int(iters)
-					s.bytesMoved += float64(e.Bytes)
-				}
-			}
-		}
 	}
 	return end
 }
@@ -600,8 +507,6 @@ func RenderGantt(pf *platform.Platform, res *Result, width int) string {
 			return 'f'
 		case len(label) >= 6 && label[:6] == "chunk:":
 			return '#'
-		case label == "pipeline":
-			return '='
 		default:
 			return 'x'
 		}
@@ -632,7 +537,7 @@ func RenderGantt(pf *platform.Platform, res *Result, width int) string {
 		}
 		fmt.Fprintf(&sb, "%-18s |%s|\n", name, rows[k])
 	}
-	sb.WriteString("legend: x=task  #=chunk  f=fork  ~=bus  ==pipeline  .=idle\n")
+	sb.WriteString("legend: x=task  #=chunk  f=fork  ~=bus  .=idle\n")
 	return sb.String()
 }
 

@@ -139,9 +139,9 @@ func resolvePlatform(raw json.RawMessage) (*platform.Platform, error) {
 // platform fingerprint (every solver-visible platform field), the
 // resolved main class and the approach. Scenario enters through the
 // resolved main class — two scenarios that pick the same class on a
-// platform correctly share one entry — and output-neutral knobs
-// (region workers, timeouts) are excluded, so every cache or coalesce
-// hit is guaranteed byte-identical to a fresh solve.
+// platform correctly share one entry — and the request's timeout_ms,
+// which bounds only how long the caller waits, is excluded, so every
+// cache or coalesce hit is guaranteed byte-identical to a fresh solve.
 func jobKey(spec *jobSpec) string {
 	mainClass := spec.scenario.MainClass(spec.platform)
 	h := sha256.Sum256([]byte(fmt.Sprintf("servejob|v1|%d|%s|%s|%d|%s",
